@@ -124,8 +124,8 @@ impl Camera {
         let left = fwd.perp();
         let cam_pos = state.pos + fwd * cfg.mount_forward;
 
-        // Rows are independent: parallelise the per-pixel ground projection
-        // (the hot kernel at DonkeyCar's full 160x120 resolution).
+        // Rows are independent, so they are written as a data-parallel
+        // loop; the vendored rayon shim runs it sequentially.
         use rayon::prelude::*;
         let (width, channels) = (cfg.width, cfg.channels);
         let xn = &self.xn;

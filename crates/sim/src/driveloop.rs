@@ -204,8 +204,11 @@ impl Simulation {
         let mut off_track_ticks = 0usize;
         let mut distance = 0.0f64;
 
+        // The car's projection, kept current: one `project` per position.
+        let mut here = self.track.project(self.vehicle.state.pos);
+
         // Lap bookkeeping.
-        let mut prev_s = self.track.project(self.vehicle.state.pos).s;
+        let mut prev_s = here.s;
         let mut progress = 0.0f64;
         let mut lap_start_t = 0.0f64;
         let mut lap_speed = RunningStats::new();
@@ -219,7 +222,7 @@ impl Simulation {
             let image =
                 self.camera
                     .render_scene(&self.track, &self.obstacles, &self.vehicle.state);
-            let proj = self.track.project(self.vehicle.state.pos);
+            let proj = here;
             let heading_err = wrap_angle(proj.heading - self.vehicle.state.heading);
             let pilot_proj = TrackProjection {
                 heading: heading_err,
@@ -253,7 +256,9 @@ impl Simulation {
 
             // Classify the new position.
             let post = self.track.project(self.vehicle.state.pos);
-            let edge = self.track.edge_distance(self.vehicle.state.pos);
+            here = post;
+            // `Track::edge_distance` without projecting again.
+            let edge = post.lateral.abs() - self.track.width_at(post.s) / 2.0;
             let off = !post.on_track;
             let hit_obstacle = self
                 .obstacles
@@ -279,6 +284,7 @@ impl Simulation {
                     let pos = self.track.point_at(s);
                     let heading = self.track.heading_at(s);
                     self.vehicle.reset_to(pos, heading);
+                    here = self.track.project(self.vehicle.state.pos);
                     pilot.notify_reset();
                     pending.clear();
                     applied = Controls::COAST;
@@ -286,7 +292,7 @@ impl Simulation {
             }
 
             // Lap accounting on wrapped progress.
-            let s_now = self.track.project(self.vehicle.state.pos).s;
+            let s_now = here.s;
             let mut ds = s_now - prev_s;
             if ds > track_len / 2.0 {
                 ds -= track_len;

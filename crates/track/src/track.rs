@@ -5,6 +5,8 @@ use crate::geometry::{point_segment_dist_sq, Vec2};
 use crate::polyline::{cumulative_arclength, curvatures, resample_closed, signed_area, tangents};
 use crate::surface::Surface;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Spacing of the internal resampled centerline, meters. Fine enough that
 /// linear interpolation between samples is below millimetre error on the
@@ -72,6 +74,10 @@ pub struct Track {
     grid_cols: usize,
     grid_rows: usize,
     grid: Vec<Vec<u32>>,
+    /// Lazily filled ground-class cache behind `surface_at`. Clones share
+    /// it; it is never serialised (a deserialised track starts cold).
+    #[serde(skip)]
+    surface_cache: SurfaceCacheSlot,
 }
 
 impl Track {
@@ -131,6 +137,7 @@ impl Track {
             grid_cols: 0,
             grid_rows: 0,
             grid: Vec::new(),
+            surface_cache: SurfaceCacheSlot::default(),
         };
         track.build_grid();
         track
@@ -270,7 +277,8 @@ impl Track {
     /// Visit candidate sample indices near `p` from the spatial grid,
     /// widening the search ring until non-empty, then scanning one extra
     /// ring so the true nearest isn't missed just across a cell edge.
-    /// Allocation-free: `project` is called per camera pixel.
+    /// Allocation-free: `project` runs for every ground lookup the surface
+    /// cache cannot answer.
     fn for_candidates(&self, p: Vec2, mut f: impl FnMut(u32)) {
         let cx = ((p.x - self.grid_origin.x) / self.grid_cell).floor() as isize;
         let cy = ((p.y - self.grid_origin.y) / self.grid_cell).floor() as isize;
@@ -350,7 +358,19 @@ impl Track {
 
     /// Classify the ground at world point `p`: boundary tape line, drivable
     /// surface, or off-track. The tape is centred on each edge.
+    ///
+    /// Answers come from a lazily filled two-level cache where a cell's
+    /// class is provably uniform, and from the exact projection elsewhere;
+    /// both give the same answer for every point.
     pub fn surface_at(&self, p: Vec2) -> Surface {
+        self.surface_cache
+            .0
+            .get_or_init(|| SurfaceCache::new(self))
+            .surface_at(self, p)
+    }
+
+    /// `surface_at` from one exact projection.
+    fn exact_surface_at(&self, p: Vec2) -> Surface {
         let proj = self.project(p);
         let i = self.index_at(proj.s);
         let hw = self.half_width[i];
@@ -408,6 +428,168 @@ impl Track {
         } else {
             d
         }
+    }
+}
+
+/// Edge of a fine cache cell, meters.
+const FINE_CELL: f64 = 0.01;
+/// Fine cells along a coarse block's edge: blocks are 16 cm.
+const BLOCK_CELLS: usize = 16;
+/// Cell states: not yet classified, one of the three surfaces, or mixed
+/// (the cell may straddle a band edge, so each point takes the exact path).
+const UNKNOWN: u8 = 0;
+const LINE: u8 = 1;
+const ASPHALT: u8 = 2;
+const OFF: u8 = 3;
+const MIXED: u8 = 4;
+/// Slack on every bound, far above the rounding of `project`.
+const BOUND_EPS: f64 = 1e-9;
+
+type FineCells = Box<[AtomicU8; BLOCK_CELLS * BLOCK_CELLS]>;
+
+/// Shared, lazily built `SurfaceCache`: a fresh slot costs one allocation,
+/// so building a `Track` does no classification work.
+#[derive(Clone, Default)]
+struct SurfaceCacheSlot(Arc<OnceLock<SurfaceCache>>);
+
+/// Prints the same text whether or not the cache is warm, so a track's
+/// `Debug` output never depends on which lookups ran before.
+impl std::fmt::Debug for SurfaceCacheSlot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("SurfaceCache")
+    }
+}
+
+/// Two-level surface-class cache over the projection grid's bounding box:
+/// 16 cm blocks, and 1 cm fine cells inside blocks that are not uniform.
+/// A block or cell is classified on first touch from one `project` at its
+/// centre; every state is a pure function of the track, so the order of
+/// first touches never changes an answer.
+struct SurfaceCache {
+    origin: Vec2,
+    /// Fine cells across / down the box (whole blocks).
+    cols: usize,
+    rows: usize,
+    block_cols: usize,
+    /// Smallest and largest half-width: `surface_at` compares against the
+    /// half-width at the projected station, which lies between them.
+    hw_min: f64,
+    hw_max: f64,
+    /// Distance to the centerline below which `project` is exact (see
+    /// `SurfaceCache::new`).
+    reach: f64,
+    blocks: Box<[AtomicU8]>,
+    /// Fine cells, allocated only for mixed blocks.
+    cells: Box<[OnceLock<FineCells>]>,
+}
+
+impl SurfaceCache {
+    fn new(track: &Track) -> SurfaceCache {
+        let block = FINE_CELL * BLOCK_CELLS as f64;
+        let block_cols = (track.grid_cols as f64 * track.grid_cell / block).ceil() as usize;
+        let block_rows = (track.grid_rows as f64 * track.grid_cell / block).ceil() as usize;
+        let n = track.center.len();
+        let max_seg = (0..n)
+            .map(|i| track.center[i].dist(track.center[(i + 1) % n]))
+            .fold(0.0, f64::max);
+        let hw = &track.half_width;
+        SurfaceCache {
+            origin: track.grid_origin,
+            cols: block_cols * BLOCK_CELLS,
+            rows: block_rows * BLOCK_CELLS,
+            block_cols,
+            hw_min: hw.iter().cloned().fold(f64::INFINITY, f64::min),
+            hw_max: hw.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
+            // A point at distance d from the centerline has the start sample
+            // of its nearest segment within d + max_seg; below two grid
+            // cells that sample is registered in a cell `for_candidates`
+            // scans, so `project` finds the true nearest segment.
+            reach: 2.0 * track.grid_cell - max_seg,
+            blocks: (0..block_cols * block_rows)
+                .map(|_| AtomicU8::new(UNKNOWN))
+                .collect(),
+            cells: (0..block_cols * block_rows)
+                .map(|_| OnceLock::new())
+                .collect(),
+        }
+    }
+
+    fn surface_at(&self, track: &Track, p: Vec2) -> Surface {
+        let fx = ((p.x - self.origin.x) / FINE_CELL).floor();
+        let fy = ((p.y - self.origin.y) / FINE_CELL).floor();
+        if !(fx >= 0.0 && fy >= 0.0 && fx < self.cols as f64 && fy < self.rows as f64) {
+            return track.exact_surface_at(p);
+        }
+        let (ix, iy) = (fx as usize, fy as usize);
+        let (bx, by) = (ix / BLOCK_CELLS, iy / BLOCK_CELLS);
+        let b = by * self.block_cols + bx;
+        let block = state(&self.blocks[b], || {
+            self.classify(track, bx * BLOCK_CELLS, by * BLOCK_CELLS, BLOCK_CELLS)
+        });
+        if block != MIXED {
+            return decode(block);
+        }
+        let cells =
+            self.cells[b].get_or_init(|| Box::new(std::array::from_fn(|_| AtomicU8::new(UNKNOWN))));
+        let cell = &cells[(iy % BLOCK_CELLS) * BLOCK_CELLS + ix % BLOCK_CELLS];
+        match state(cell, || self.classify(track, ix, iy, 1)) {
+            MIXED => track.exact_surface_at(p),
+            s => decode(s),
+        }
+    }
+
+    /// Classify the square of `n`×`n` fine cells whose corner is fine cell
+    /// `(x, y)`. Distance to the centerline is 1-Lipschitz, so every point
+    /// of the square lies within the square's half-diagonal of the centre's
+    /// distance; the square is uniform when that whole interval falls
+    /// inside one band for every half-width.
+    fn classify(&self, track: &Track, x: usize, y: usize, n: usize) -> u8 {
+        let half = n as f64 / 2.0;
+        let centre = Vec2::new(
+            self.origin.x + (x as f64 + half) * FINE_CELL,
+            self.origin.y + (y as f64 + half) * FINE_CELL,
+        );
+        let r = half * FINE_CELL * std::f64::consts::SQRT_2 + BOUND_EPS;
+        let lateral = track.project(centre).lateral.abs();
+        let tape = TAPE_WIDTH / 2.0;
+        // Beyond `reach` the projection may miss the nearest segment and
+        // overstate the distance, so only the lower bound min(d, reach)
+        // holds there.
+        let lo = lateral.min(self.reach) - r;
+        let hi = lateral + r;
+        if lo > self.hw_max + tape {
+            OFF
+        } else if hi >= self.reach {
+            MIXED
+        } else if hi < self.hw_min - tape {
+            ASPHALT
+        } else if lo >= self.hw_max - tape && hi <= self.hw_min + tape {
+            LINE
+        } else {
+            MIXED
+        }
+    }
+}
+
+/// The state in `slot`, classified on first touch. `Relaxed` suffices: a
+/// state publishes no other data, and racing first touches store the same
+/// value.
+fn state(slot: &AtomicU8, classify: impl FnOnce() -> u8) -> u8 {
+    match slot.load(Ordering::Relaxed) {
+        UNKNOWN => {
+            let s = classify();
+            slot.store(s, Ordering::Relaxed);
+            s
+        }
+        s => s,
+    }
+}
+
+fn decode(state: u8) -> Surface {
+    match state {
+        LINE => Surface::Line,
+        ASPHALT => Surface::Asphalt,
+        _ => Surface::Off,
     }
 }
 
@@ -537,7 +719,8 @@ mod tests {
     #[test]
     fn serde_roundtrip_preserves_queries() {
         // Tracks ship inside artifacts/object-store blobs; projection must
-        // survive (the spatial grid serialises with the track).
+        // survive (the spatial grid serialises with the track; the surface
+        // cache does not, so `back` answers from a fresh one).
         let t = circle_track(3.0, 0.7);
         let json = serde_json::to_string(&t).unwrap();
         let back: Track = serde_json::from_str(&json).unwrap();

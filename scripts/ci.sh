@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# The full local CI gate: release build, the complete test suite, and the
-# static-analysis gate — everything a change must pass before merging.
+# The full local CI gate: release build, the umbrella and workspace test
+# suites, and the static-analysis gate — everything a change must pass
+# before merging.
 #
 #   scripts/ci.sh
 #
-# Runs all three phases even when an earlier one fails, so one invocation
+# Runs every phase even when an earlier one fails, so one invocation
 # reports every broken gate; exits non-zero if any phase failed.
 set -uo pipefail
 cd "$(dirname "$0")/.."
@@ -17,6 +18,12 @@ cargo build --release || status=$?
 echo
 echo "== ci: cargo test -q =="
 cargo test -q || status=$?
+
+echo
+echo "== ci: cargo test --workspace -q =="
+# Every member crate's unit and integration tests (the phase above runs
+# only the umbrella crate's).
+cargo test --workspace -q || status=$?
 
 echo
 echo "== ci: static-analysis gate =="
