@@ -9,6 +9,9 @@
 //!   a single root span, with injected faults and retried attempts as
 //!   children of the stage they hit;
 //! * a failing run leaves a post-mortem carrying the flight-recorder tail;
+//! * the exports of fixed calm, faulty and failing runs hash to pinned
+//!   digests, so a refactor that moves any byte fails here, not only a
+//!   replay within one build;
 //! * histogram buckets and percentiles behave at the edges.
 
 use autolearn::pipeline::{Pipeline, PipelineConfig};
@@ -189,5 +192,94 @@ fn histogram_buckets_and_percentiles_hold_at_the_edges() {
     let s = Histogram::seconds_buckets();
     for w in s.bounds.windows(2) {
         assert!(w[0] < w[1], "bounds must strictly increase");
+    }
+}
+
+/// FNV-1a, 64-bit: a stable digest of an export's bytes.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Assert `text` hashes to `digest` and is `len` bytes long; print the
+/// whole export on a mismatch so the drift can be diffed.
+fn assert_pinned(label: &str, text: &str, digest: u64, len: usize) {
+    let got = fnv1a64(text.as_bytes());
+    assert!(
+        got == digest && text.len() == len,
+        "{label}: digest {got:016x} ({} B), pinned {digest:016x} ({len} B); export:\n{text}",
+        text.len()
+    );
+}
+
+#[test]
+fn exports_match_pinned_digests_across_commits() {
+    // (plan seed, then digest and bytes of the trace and the summary)
+    let recovering: [(u64, [(u64, usize); 2]); 3] = [
+        (
+            0,
+            [(0xd67b_c558_63d6_42c9, 4260), (0xb754_0a8c_4688_f31e, 2528)],
+        ),
+        (
+            7,
+            [(0x5807_6ff5_da02_0019, 5588), (0xc0be_f964_1319_f285, 2612)],
+        ),
+        (
+            42,
+            [(0x2352_a9ce_bc73_cdbe, 4653), (0x2cfc_7ba8_6dca_774c, 2551)],
+        ),
+    ];
+    for (seed, [trace_pin, summary_pin]) in recovering {
+        let (trace, summary) = observed_run(seed);
+        let exports = [
+            ("trace", trace, trace_pin),
+            ("summary", summary, summary_pin),
+        ];
+        for (what, text, (digest, len)) in exports {
+            assert_pinned(&format!("seed {seed} {what}"), &text, digest, len);
+        }
+    }
+
+    // Runs that die without retries: seed 7 in `reserve`, seed 4 in
+    // `deploy-model`. The post-mortem pins the flight recorder's tail as
+    // well as the exports.
+    // (plan seed, then digest and bytes of the trace, summary, post-mortem)
+    let failing: [(u64, [(u64, usize); 3]); 2] = [
+        (
+            7,
+            [
+                (0x1c45_be5b_f848_4440, 1251),
+                (0x818d_52ab_a479_56ea, 576),
+                (0x6bd3_92a7_bf5f_c879, 572),
+            ],
+        ),
+        (
+            4,
+            [
+                (0xaf24_645f_7901_2d66, 3480),
+                (0x772f_7683_66a9_85d1, 1627),
+                (0x9353_3f80_a0af_debe, 1453),
+            ],
+        ),
+    ];
+    for (seed, [trace_pin, summary_pin, post_mortem_pin]) in failing {
+        let mut plan = FaultPlan::from_seed(seed, FaultConfig::chaos(0.35));
+        let mut obs = Obs::new();
+        let result = Pipeline::new(circle_track(3.0, 0.8), tiny_config()).run_observed(
+            &mut plan,
+            &RetryPolicy::no_retries(),
+            &mut obs,
+        );
+        assert!(result.is_err(), "seed {seed} without retries must fail");
+        let pm = obs.post_mortem().expect("failure leaves a post-mortem");
+        let exports = [
+            ("trace", obs.export_chrome_trace(), trace_pin),
+            ("summary", obs.export_summary(), summary_pin),
+            ("post-mortem", pm.to_string(), post_mortem_pin),
+        ];
+        for (what, text, (digest, len)) in exports {
+            assert_pinned(&format!("failing seed {seed} {what}"), &text, digest, len);
+        }
     }
 }
