@@ -16,7 +16,7 @@
 //! Writes `results/trace_smoke.json` (load it at chrome://tracing or
 //! https://ui.perfetto.dev) and prints the compact summary to stdout.
 
-use autolearn::lesson::run_digital_lesson_traced;
+use autolearn::lesson::run_digital_lesson;
 use autolearn::pipeline::PipelineConfig;
 use autolearn_obs::Obs;
 use autolearn_track::circle_track;
@@ -46,7 +46,7 @@ fn traced_run(plan_seed: u64) -> (String, String, usize) {
     let track = circle_track(3.0, 0.8);
     let mut plan = FaultPlan::from_seed(plan_seed, FaultConfig::chaos(CHAOS_RATE));
     let mut obs = Obs::new();
-    run_digital_lesson_traced(
+    run_digital_lesson(
         &mut hub,
         "trace-smoke",
         &track,

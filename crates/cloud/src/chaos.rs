@@ -67,6 +67,12 @@ impl std::error::Error for LaunchError {}
 /// Launch an on-demand lease under fault injection. The fault draw is
 /// labelled with `node_type` so the plan's log shows which hardware the
 /// fault struck.
+///
+/// Telemetry: bumps `cloud.launch_attempts` (and `cloud.preemptions` when
+/// the admitted lease carries a scheduled preemption), records freshly
+/// injected faults as `fault` events, and emits `lease-admitted` /
+/// `preemption-scheduled` / `launch-failed` events.
+#[allow(clippy::too_many_arguments)]
 pub fn launch_lease(
     rs: &mut ReservationSystem,
     project: &str,
@@ -75,8 +81,10 @@ pub fn launch_lease(
     now: SimTime,
     duration: SimDuration,
     plan: &mut FaultPlan,
+    obs: &mut Obs,
 ) -> Result<LeaseLaunch, LaunchError> {
-    match plan.draw(FaultSite::Cloud, node_type) {
+    let faults_before = plan.injected().len();
+    let result = match plan.draw(FaultSite::Cloud, node_type) {
         Some(FaultKind::LaunchFailure { wasted_s }) => Err(LaunchError::Transient {
             wasted: SimDuration::from_secs(wasted_s),
         }),
@@ -97,27 +105,7 @@ pub fn launch_lease(
                 })
                 .map_err(LaunchError::Refused)
         }
-    }
-}
-
-/// [`launch_lease`] with telemetry: bumps `cloud.launch_attempts` (and
-/// `cloud.preemptions` when the admitted lease carries a scheduled
-/// preemption), records freshly injected faults as `fault` events, and
-/// emits `lease-admitted` / `preemption-scheduled` / `launch-failed`
-/// events. The launch outcome is identical to the unobserved call.
-#[allow(clippy::too_many_arguments)]
-pub fn launch_lease_observed(
-    rs: &mut ReservationSystem,
-    project: &str,
-    node_type: &str,
-    nodes: u32,
-    now: SimTime,
-    duration: SimDuration,
-    plan: &mut FaultPlan,
-    obs: &mut Obs,
-) -> Result<LeaseLaunch, LaunchError> {
-    let faults_before = plan.injected().len();
-    let result = launch_lease(rs, project, node_type, nodes, now, duration, plan);
+    };
     obs.counter_add("cloud.launch_attempts", 1);
     obs.record_injected_faults(&plan.injected()[faults_before..]);
     match &result {
@@ -172,6 +160,7 @@ mod tests {
             SimTime::ZERO,
             SimDuration::from_hours(1.0),
             plan,
+            &mut Obs::new(),
         )
     }
 
@@ -193,6 +182,7 @@ mod tests {
             SimTime::ZERO,
             SimDuration::from_hours(1.0),
             &mut FaultPlan::none(),
+            &mut Obs::new(),
         )
         .unwrap_err();
         assert!(matches!(
@@ -229,16 +219,15 @@ mod tests {
     }
 
     #[test]
-    fn observed_launch_matches_unobserved_and_reports_events() {
+    fn launch_reports_events() {
         let mut seen_admit = false;
         let mut seen_fail = false;
         let mut seen_preempt = false;
         for seed in 0..128 {
-            let mut plain = FaultPlan::from_seed(seed, FaultConfig::chaos(1.0));
             let mut plan = FaultPlan::from_seed(seed, FaultConfig::chaos(1.0));
             let mut rs = ReservationSystem::new(Site::chameleon());
             let mut obs = Obs::new();
-            let observed = launch_lease_observed(
+            let launched = launch_lease(
                 &mut rs,
                 "autolearn",
                 "gpu_v100",
@@ -248,9 +237,8 @@ mod tests {
                 &mut plan,
                 &mut obs,
             );
-            assert_eq!(launch(&mut plain), observed, "telemetry must not change outcome");
             assert_eq!(obs.metrics().counter("cloud.launch_attempts"), 1);
-            match observed {
+            match launched {
                 Ok(l) => {
                     assert_eq!(obs.trace().events_named("lease-admitted").count(), 1);
                     seen_admit = true;

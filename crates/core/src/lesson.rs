@@ -30,35 +30,16 @@ pub struct LessonReport {
 /// artifact on `hub`, execute every code cell of its latest version, and
 /// run the pipeline the notebooks describe. Publishes the artifact first if
 /// the hub doesn't carry it yet. A pipeline failure (rejected model,
-/// refused reservation) surfaces as a typed error instead of a crashed
-/// lesson.
-pub fn run_digital_lesson(
-    hub: &mut TroviHub,
-    user: &str,
-    track: &Track,
-    config: PipelineConfig,
-    at: SimTime,
-) -> Result<(LessonReport, PipelineReport), PipelineError> {
-    let mut obs = Obs::new();
-    run_digital_lesson_traced(
-        hub,
-        user,
-        track,
-        config,
-        at,
-        &mut FaultPlan::none(),
-        &RetryPolicy::default(),
-        &mut obs,
-    )
-}
-
-/// [`run_digital_lesson`], but telemetry-first: the sim-time cursor starts
-/// at `at`, faults come from `plan`, retries follow `policy`, and the whole
-/// seven-stage loop lands in `obs` as one trace (export it afterwards with
-/// [`Obs::export_chrome_trace`]). This is the entry point `trace.sh` and the
-/// golden-trace determinism tests drive.
+/// refused reservation, exhausted retries) surfaces as a typed error
+/// instead of a crashed lesson.
+///
+/// The sim-time cursor of `obs` starts at `at`, faults come from `plan`,
+/// retries follow `policy`, and the whole seven-stage loop lands in `obs`
+/// as one trace (export it afterwards with [`Obs::export_chrome_trace`]).
+/// A calm lesson passes `FaultPlan::none()`, `RetryPolicy::default()` and
+/// a fresh `Obs`.
 #[allow(clippy::too_many_arguments)]
-pub fn run_digital_lesson_traced(
+pub fn run_digital_lesson(
     hub: &mut TroviHub,
     user: &str,
     track: &Track,
@@ -118,6 +99,24 @@ mod tests {
     use crate::collect::CollectionPath;
     use autolearn_track::circle_track;
 
+    /// One calm lesson for `user` with a fresh observer.
+    fn calm_lesson(
+        hub: &mut TroviHub,
+        user: &str,
+        track: &Track,
+    ) -> Result<(LessonReport, PipelineReport), PipelineError> {
+        run_digital_lesson(
+            hub,
+            user,
+            track,
+            quick_config(),
+            SimTime::ZERO,
+            &mut FaultPlan::none(),
+            &RetryPolicy::default(),
+            &mut Obs::new(),
+        )
+    }
+
     fn quick_config() -> PipelineConfig {
         let mut cfg = PipelineConfig::lesson_default(41);
         cfg.collection.duration_s = 40.0;
@@ -133,8 +132,7 @@ mod tests {
         let mut hub = TroviHub::new();
         let track = circle_track(3.0, 0.8);
         let (lesson, pipeline) =
-            run_digital_lesson(&mut hub, "selflearner", &track, quick_config(), SimTime::ZERO)
-                .expect("lesson pipeline succeeds");
+            calm_lesson(&mut hub, "selflearner", &track).expect("lesson pipeline succeeds");
 
         // Every *code* cell executed (markdown cells don't count — that is
         // Trovi's definition).
@@ -149,10 +147,8 @@ mod tests {
     fn two_students_roll_up_in_hub_metrics() {
         let mut hub = TroviHub::new();
         let track = circle_track(3.0, 0.8);
-        let (a, _) = run_digital_lesson(&mut hub, "alice", &track, quick_config(), SimTime::ZERO)
-            .expect("alice's lesson succeeds");
-        let (b, _) = run_digital_lesson(&mut hub, "bob", &track, quick_config(), SimTime::ZERO)
-            .expect("bob's lesson succeeds");
+        let (a, _) = calm_lesson(&mut hub, "alice", &track).expect("alice's lesson succeeds");
+        let (b, _) = calm_lesson(&mut hub, "bob", &track).expect("bob's lesson succeeds");
         assert_eq!(a.users_executed, 1);
         assert_eq!(b.users_executed, 2);
         assert_eq!(b.launch_clicks, 2);

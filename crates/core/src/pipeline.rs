@@ -22,21 +22,31 @@
 //! completions, and stage-latency/retry/fault metrics. The [`RunLog`] is
 //! no longer separate bookkeeping: it is *reconstructed from the trace*
 //! by [`RunLog::from_trace`], so the trace is the single source of truth.
-//! [`Pipeline::run_observed`] runs against a caller-owned [`Obs`] (for
-//! export); [`Pipeline::run_chaos`] keeps its old signature and observes
-//! into a private one.
+//! Every instrumented operation the stages call (`fit_observed`,
+//! `ResumableTransfer::attempt`, `launch_lease`,
+//! `ContainerRuntime::launch_with_faults`) takes the run's `&mut Obs` as
+//! an ordinary argument. [`Pipeline::run_observed`] runs against a
+//! caller-owned [`Obs`] (for export); [`Pipeline::run`] and
+//! [`Pipeline::run_chaos`] observe into a private one.
+//!
+//! The stages run as straight-line code through three helpers: `stage`
+//! (span, timing, checkpoint), `retry_stage` over `attempt_span` (the
+//! only writer of `attempt` spans), and `retry_transfer` (a resumable
+//! transfer retried to completion).
 
 use crate::collect::{collect_session, CollectConfig, CollectionPath};
 use crate::dataset::{records_to_dataset, tub_bytes_estimate};
 use crate::modelpilot::ModelPilot;
-use autolearn_cloud::chaos::{launch_lease_observed, LaunchError, LAUNCH_OVERHEAD_S};
+use autolearn_cloud::chaos::{launch_lease, LaunchError, LAUNCH_OVERHEAD_S};
 use autolearn_cloud::hardware::{ComputeDevice, GpuKind, Site};
 use autolearn_cloud::perf::{training_time, TrainingCostModel};
 use autolearn_cloud::provision::ProvisioningPlan;
 use autolearn_cloud::reservation::{ReservationError, ReservationSystem};
 use autolearn_edge::container::{ContainerRuntime, ImageSpec};
 use autolearn_net::{transfer_time, Path, ResumableTransfer, TransferSpec};
-use autolearn_nn::models::{prepare_dataset, CarModel, DonkeyModel, ModelConfig, ModelKind};
+use autolearn_nn::models::{
+    prepare_dataset, CarModel, DonkeyModel, InputSpec, ModelConfig, ModelKind,
+};
 use autolearn_nn::{
     format_contract_errors, format_errors, standard_stages, validate_pipeline, ContractError,
     ContractReport, DType, FrameContract, GraphError, TrainConfig, TrainReport, Trainer,
@@ -44,7 +54,7 @@ use autolearn_nn::{
 use autolearn_sim::{CarConfig, DriveConfig, Simulation};
 use autolearn_track::Track;
 use autolearn_tub::{CleanConfig, TubCleaner};
-use autolearn_obs::{attr, AttrValue, Obs, Trace};
+use autolearn_obs::{attr, AttrValue, Obs, SpanId, Trace};
 use autolearn_util::fault::{FaultPlan, InjectedFault};
 use autolearn_util::{derive_seed, Bytes, Epochs, RetryPolicy, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -212,6 +222,9 @@ pub enum PipelineError {
         elapsed: SimDuration,
         deadline: SimDuration,
     },
+    /// Collection (after cleaning) left too few records to split into
+    /// training and validation examples for the configured model.
+    TooFewRecords { records: usize },
 }
 
 impl PipelineError {
@@ -220,6 +233,7 @@ impl PipelineError {
         match self {
             PipelineError::StageFailed { stage, .. }
             | PipelineError::DeadlineExceeded { stage, .. } => Some(stage),
+            PipelineError::TooFewRecords { .. } => Some("train"),
             _ => None,
         }
     }
@@ -249,6 +263,9 @@ impl std::fmt::Display for PipelineError {
                 elapsed,
                 deadline,
             } => write!(f, "stage '{stage}' blew its {deadline} deadline (spent {elapsed})"),
+            PipelineError::TooFewRecords { records } => {
+                write!(f, "{records} records are too few to train on")
+            }
         }
     }
 }
@@ -295,15 +312,70 @@ enum StageFault {
     Fatal(PipelineError),
 }
 
+/// How one try at a stage ended, as its `attempt` span records it.
+enum Tried<T> {
+    /// The try produced the stage's value after `charged` simulated time.
+    Done(T, SimDuration),
+    /// The try died after `charged` simulated time; `backoff` is charged
+    /// before the next one.
+    Failed {
+        why: String,
+        charged: SimDuration,
+        backoff: SimDuration,
+    },
+}
+
+/// The one writer of `attempt` spans. Opens the span for try number
+/// `attempt` at `stage` and runs `body` inside it, so substrate telemetry
+/// (fault events, transfer counters) nests in the span. The span then
+/// carries typed attributes — the stage, the attempt number, the outcome
+/// and the exact charged/backoff durations, which is what
+/// [`RunLog::from_trace`] reads back — and the cursor advances by the
+/// charged time; the backoff is the caller's gap before the next span. A
+/// fatal `body` closes its span without an outcome: fatal attempts abort
+/// the run and never make the run log.
+fn attempt_span<T>(
+    obs: &mut Obs,
+    stage: &str,
+    attempt: u32,
+    body: impl FnOnce(&mut Obs) -> Result<Tried<T>, PipelineError>,
+) -> Result<Tried<T>, PipelineError> {
+    let span = obs.begin_span("attempt");
+    obs.span_attr(span, "stage", AttrValue::Str(stage.to_string()));
+    obs.span_attr(span, "attempt", AttrValue::Int(i64::from(attempt)));
+    obs.counter_add("pipeline.attempts", 1);
+    let tried = match body(obs) {
+        Ok(tried) => tried,
+        Err(e) => {
+            obs.end_span(span);
+            return Err(e);
+        }
+    };
+    let (outcome, charged, backoff) = match &tried {
+        Tried::Done(_, charged) => ("ok", *charged, SimDuration::ZERO),
+        Tried::Failed {
+            why,
+            charged,
+            backoff,
+        } => {
+            obs.counter_add("pipeline.retries", 1);
+            (why.as_str(), *charged, *backoff)
+        }
+    };
+    obs.span_attr(span, "outcome", AttrValue::Str(outcome.to_string()));
+    obs.span_attr(span, "charged_s", AttrValue::F64(charged.as_secs()));
+    obs.span_attr(span, "backoff_s", AttrValue::F64(backoff.as_secs()));
+    obs.advance(charged);
+    obs.end_span(span);
+    Ok(tried)
+}
+
 /// Drive one fallible stage under `policy`: run attempts until one succeeds,
 /// the attempt cap is hit, or the stage deadline is blown, charging
 /// exponential backoff (with jitter derived from `seed`) between attempts.
-/// Every try becomes an `attempt` span on `obs` — typed attributes carry
-/// the stage, the 1-based attempt number, the outcome, and the exact
-/// charged/backoff durations, which is what [`RunLog::from_trace`] reads
-/// back. The attempt body gets the observer too, so substrate telemetry
-/// (fault events, transfer counters) nests inside the attempt span.
-/// Returns the stage's value plus the total simulated time consumed.
+/// Every try becomes an `attempt` span on `obs` (see [`attempt_span`]); the
+/// attempt body gets the observer too. Returns the stage's value plus the
+/// total simulated time consumed.
 fn retry_stage<T>(
     stage: &str,
     policy: &RetryPolicy,
@@ -330,49 +402,89 @@ fn retry_stage<T>(
                 }
             });
         }
-        let span = obs.begin_span("attempt");
-        obs.span_attr(span, "stage", AttrValue::Str(stage.to_string()));
-        obs.span_attr(span, "attempt", AttrValue::Int(i64::from(attempt)));
-        obs.counter_add("pipeline.attempts", 1);
-        match attempt_fn(attempt, obs) {
-            Ok((value, charged)) => {
-                elapsed += charged;
-                obs.span_attr(span, "outcome", AttrValue::Str("ok".to_string()));
-                obs.span_attr(span, "charged_s", AttrValue::F64(charged.as_secs()));
-                obs.span_attr(span, "backoff_s", AttrValue::F64(0.0));
-                obs.advance(charged);
-                obs.end_span(span);
-                return Ok((value, elapsed));
-            }
-            Err(StageFault::Fatal(e)) => {
-                // Fatal attempts abort the run and never made the old log;
-                // leaving the span without an outcome keeps the view
-                // identical.
-                obs.end_span(span);
-                return Err(e);
-            }
+        let tried = attempt_span(obs, stage, attempt, |obs| match attempt_fn(attempt, obs) {
+            Ok((value, charged)) => Ok(Tried::Done(value, charged)),
+            Err(StageFault::Fatal(e)) => Err(e),
             Err(StageFault::Retryable { why, charged }) => {
-                elapsed += charged;
                 // Only charge backoff when another attempt is coming.
-                let backoff = if policy.allows(attempt + 1, elapsed) {
+                let backoff = if policy.allows(attempt + 1, elapsed + charged) {
                     policy.backoff(attempt, seed)
                 } else {
                     SimDuration::ZERO
                 };
-                elapsed += backoff;
-                obs.counter_add("pipeline.retries", 1);
-                obs.span_attr(span, "outcome", AttrValue::Str(why.clone()));
-                obs.span_attr(span, "charged_s", AttrValue::F64(charged.as_secs()));
-                obs.span_attr(span, "backoff_s", AttrValue::F64(backoff.as_secs()));
-                obs.advance(charged);
-                obs.end_span(span);
-                // The backoff is the gap between attempt spans.
+                Ok(Tried::Failed {
+                    why,
+                    charged,
+                    backoff,
+                })
+            }
+        })?;
+        match tried {
+            Tried::Done(value, charged) => return Ok((value, elapsed + charged)),
+            Tried::Failed {
+                why,
+                charged,
+                backoff,
+            } => {
+                elapsed = elapsed + charged + backoff;
                 obs.advance(backoff);
                 last_error = why;
                 attempt += 1;
             }
         }
     }
+}
+
+/// Move one resumable transfer of `spec` over the car↔cloud path under
+/// `policy`: a failed attempt keeps its partial progress, so each retry
+/// re-sends only the delta. Returns the simulated time of all attempts and
+/// backoffs.
+fn retry_transfer(
+    stage: &str,
+    op: &str,
+    spec: TransferSpec,
+    policy: &RetryPolicy,
+    seed: u64,
+    plan: &mut FaultPlan,
+    obs: &mut Obs,
+) -> Result<SimDuration, PipelineError> {
+    let mut transfer = ResumableTransfer::new(spec);
+    let (_, elapsed) = retry_stage(stage, policy, seed, obs, |_attempt, obs| {
+        match transfer.attempt(&Path::car_to_cloud(), plan, op, obs) {
+            Ok(d) => Ok(((), d)),
+            Err((failure, charged)) => Err(StageFault::Retryable {
+                why: failure.to_string(),
+                charged,
+            }),
+        }
+    })?;
+    Ok(elapsed)
+}
+
+/// Run one stage inside a span named `name`. `body` does the work —
+/// advancing the cursor by whatever it charges — and returns its value
+/// with the stage's simulated duration; the timing is then recorded, a
+/// `checkpoint` event marks the stage complete and the span closes. An
+/// error returns at once and leaves the span open, so the failure is
+/// recorded while the dying stage is still the innermost span.
+fn stage<T>(
+    obs: &mut Obs,
+    stages: &mut Vec<StageTiming>,
+    name: &str,
+    body: impl FnOnce(&mut Obs, SpanId) -> Result<(T, SimDuration), PipelineError>,
+) -> Result<T, PipelineError> {
+    let span = obs.begin_span(name);
+    let (value, duration) = body(obs, span)?;
+    stages.push(StageTiming {
+        stage: name.to_string(),
+        duration,
+    });
+    obs.event(
+        "checkpoint",
+        vec![("stage".to_string(), AttrValue::Str(name.to_string()))],
+    );
+    obs.end_span(span);
+    Ok(value)
 }
 
 /// GPUs to fall back to when `preferred` has no capacity: every kind with
@@ -393,11 +505,7 @@ fn fallback_chain(preferred: GpuKind) -> Vec<GpuKind> {
     .into_iter()
     .filter(|g| eff(*g) < eff(preferred))
     .collect();
-    slower.sort_by(|a, b| {
-        eff(*b)
-            .partial_cmp(&eff(*a))
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
+    slower.sort_by(|a, b| eff(*b).total_cmp(&eff(*a)));
     let mut chain = vec![preferred];
     chain.extend(slower);
     chain
@@ -491,73 +599,49 @@ impl Pipeline {
         }
         let seed = cfg.collection.seed;
         let mut stages = Vec::new();
-        let checkpoint = |obs: &mut Obs, stage: &str| {
-            obs.event(
-                "checkpoint",
-                vec![("stage".to_string(), AttrValue::Str(stage.to_string()))],
-            );
-        };
 
         // 1. Collect (student drives for the configured duration; the car
         // is offline during collection, so no continuum faults apply).
-        let collect_span = obs.begin_span("collect");
-        let collected = collect_session(&self.track, &cfg.collection);
-        let collect_time = SimDuration::from_secs(collected.session.duration_s);
-        obs.advance(collect_time);
-        stages.push(StageTiming {
-            stage: "collect".into(),
-            duration: collect_time,
-        });
+        let collected = stage(obs, &mut stages, "collect", |obs, span| {
+            let collected = collect_session(&self.track, &cfg.collection);
+            let time = SimDuration::from_secs(collected.session.duration_s);
+            obs.advance(time);
+            let records = collected.records.len() as u64;
+            obs.span_attr(span, "records", AttrValue::UInt(records));
+            Ok((collected, time))
+        })?;
         let records_collected = collected.records.len();
-        obs.span_attr(
-            collect_span,
-            "records",
-            AttrValue::UInt(records_collected as u64),
-        );
-        checkpoint(obs, "collect");
-        obs.end_span(collect_span);
 
         // 2. Clean. The manual tubclean review plays the video back; charge
         // 1/4 of the session length for the student's review pass.
         let mut records = collected.records;
         if cfg.clean {
-            let clean_span = obs.begin_span("clean");
-            let cleaner = TubCleaner::new(CleanConfig::default());
-            let report = cleaner.analyse(&records);
-            let flagged = report.flagged_ids();
-            records.retain(|r| !flagged.contains(&r.id));
-            let clean_time = SimDuration::from_secs(collected.session.duration_s / 4.0);
-            obs.advance(clean_time);
-            stages.push(StageTiming {
-                stage: "clean".into(),
-                duration: clean_time,
-            });
-            obs.span_attr(
-                clean_span,
-                "flagged",
-                AttrValue::UInt((records_collected - records.len()) as u64),
-            );
-            checkpoint(obs, "clean");
-            obs.end_span(clean_span);
+            stage(obs, &mut stages, "clean", |obs, span| {
+                let flagged = TubCleaner::new(CleanConfig::default())
+                    .analyse(&records)
+                    .flagged_ids();
+                records.retain(|r| !flagged.contains(&r.id));
+                let time = SimDuration::from_secs(collected.session.duration_s / 4.0);
+                obs.advance(time);
+                let dropped = (records_collected - records.len()) as u64;
+                obs.span_attr(span, "flagged", AttrValue::UInt(dropped));
+                Ok(((), time))
+            })?;
         }
         let records_cleaned = records.len();
 
         // 3. Reserve the GPU node. An injected capacity window walks down
         // the fallback chain to a strictly slower GPU; a transient launch
         // failure burns the wasted lease time and retries.
-        let mut reservations = ReservationSystem::new(Site::chameleon());
-        let chain = fallback_chain(cfg.gpu);
-        let mut chain_idx = 0usize;
-        let reserve_span = obs.begin_span("reserve");
-        let ((gpu_used, launch), reserve_time) = retry_stage(
-            "reserve",
-            policy,
-            derive_seed(seed, "retry-reserve"),
-            obs,
-            |_attempt, obs| {
+        let (gpu_used, launch) = stage(obs, &mut stages, "reserve", |obs, _| {
+            let mut reservations = ReservationSystem::new(Site::chameleon());
+            let chain = fallback_chain(cfg.gpu);
+            let mut chain_idx = 0usize;
+            let seed = derive_seed(seed, "retry-reserve");
+            let ((gpu, launch), time) = retry_stage("reserve", policy, seed, obs, |_, obs| {
                 let gpu = chain[chain_idx.min(chain.len() - 1)];
                 let node_type = format!("gpu_{}", gpu.name().to_lowercase());
-                match launch_lease_observed(
+                match launch_lease(
                     &mut reservations,
                     "autolearn",
                     &node_type,
@@ -598,226 +682,164 @@ impl Pipeline {
                         }
                     }
                 }
-            },
-        )?;
-        let mut preempt = launch.preempt_at_fraction;
-        stages.push(StageTiming {
-            stage: "reserve".into(),
-            duration: reserve_time,
-        });
-        obs.event(
-            "gpu-selected",
-            vec![(
-                "gpu".to_string(),
-                AttrValue::Str(gpu_used.name().to_string()),
-            )],
-        );
-        checkpoint(obs, "reserve");
-        obs.end_span(reserve_span);
+            })?;
+            let gpu_name = AttrValue::Str(gpu.name().to_string());
+            obs.event("gpu-selected", vec![("gpu".to_string(), gpu_name)]);
+            Ok(((gpu, launch), time))
+        })?;
 
         // 4. Provision the CUDA image + rsync the tub up. The bare-metal
         // deploy steps are charged once; the upload is a resumable transfer
         // that re-sends only the delta after a mid-transfer fault.
-        let upload_span = obs.begin_span("provision+upload");
-        let fixed = ProvisioningPlan::cuda_image(SimDuration::ZERO).total();
-        obs.advance(fixed);
-        let mut upload = ResumableTransfer::new(TransferSpec::rsync(tub_bytes_estimate(&records)));
-        let (_, upload_time) = retry_stage(
-            "provision+upload",
-            policy,
-            derive_seed(seed, "retry-upload"),
-            obs,
-            |_attempt, obs| match upload.attempt_observed(
-                &Path::car_to_cloud(),
-                plan,
+        stage(obs, &mut stages, "provision+upload", |obs, _| {
+            let fixed = ProvisioningPlan::cuda_image(SimDuration::ZERO).total();
+            obs.advance(fixed);
+            let upload = retry_transfer(
+                "provision+upload",
                 "tub-upload",
+                TransferSpec::rsync(tub_bytes_estimate(&records)),
+                policy,
+                derive_seed(seed, "retry-upload"),
+                plan,
                 obs,
-            ) {
-                Ok(d) => Ok(((), d)),
-                Err((failure, charged)) => Err(StageFault::Retryable {
-                    why: failure.to_string(),
-                    charged,
-                }),
-            },
-        )?;
-        stages.push(StageTiming {
-            stage: "provision+upload".into(),
-            duration: fixed + upload_time,
-        });
-        checkpoint(obs, "provision+upload");
-        obs.end_span(upload_span);
+            )?;
+            Ok(((), fixed + upload))
+        })?;
 
         // 5. Train (real math on host; device time attributed). A scheduled
         // preemption revokes the lease mid-training: the partial epoch is
         // lost, the node relaunches, and training resumes from the last
         // completed epoch boundary.
-        let train_span = obs.begin_span("train");
-        let mut model = CarModel::build(cfg.model_kind, &cfg.model);
-        let data = prepare_dataset(&records_to_dataset(&records, &cfg.model), model.input_spec());
-        let trainer = Trainer::new(cfg.train.clone());
-        let train_report = trainer
-            .fit_observed(&mut model, &data, obs)
-            .map_err(PipelineError::ModelRejected)?;
-        let cost = TrainingCostModel::new(
-            model.flops_per_inference(),
-            train_report.examples_seen,
-            cfg.train.batch_size as u64,
-        );
-        // Each simulated run at the training work (the clean one, or the
-        // preempted half plus the resumed half) becomes an `attempt` span,
-        // same shape as the retried stages'.
-        let train_attempt =
-            |obs: &mut Obs, attempt: u32, outcome: &str, charged: SimDuration| {
-                let span = obs.begin_span("attempt");
-                obs.counter_add("pipeline.attempts", 1);
-                if outcome != "ok" {
-                    obs.counter_add("pipeline.retries", 1);
-                }
-                obs.span_attr(span, "stage", AttrValue::Str("train".to_string()));
-                obs.span_attr(span, "attempt", AttrValue::Int(i64::from(attempt)));
-                obs.span_attr(span, "outcome", AttrValue::Str(outcome.to_string()));
-                obs.span_attr(span, "charged_s", AttrValue::F64(charged.as_secs()));
-                obs.span_attr(span, "backoff_s", AttrValue::F64(0.0));
-                obs.advance(charged);
-                obs.end_span(span);
+        let (mut model, train_report) = stage(obs, &mut stages, "train", |obs, _| {
+            let mut model = CarModel::build(cfg.model_kind, &cfg.model);
+            // A train/val split needs two examples; a sequence model's
+            // windows use up `t - 1` frames first.
+            let needed = match model.input_spec() {
+                InputSpec::Sequence(t) => t + 1,
+                _ => 2,
             };
-        let base_train = training_time(&cost, &ComputeDevice::of_gpu(gpu_used));
-        let train_time = match preempt.take() {
-            None => {
-                train_attempt(obs, 1, "ok", base_train);
-                base_train
+            if records.len() < needed {
+                return Err(PipelineError::TooFewRecords {
+                    records: records.len(),
+                });
             }
-            Some(at_fraction) => {
-                // Checkpoints land at epoch boundaries: resume re-runs the
-                // interrupted epoch, after a fresh node launch.
-                let planned = Epochs::new(cfg.train.epochs as u32).max_one();
-                let banked = planned.completed_at(at_fraction);
-                let kept = banked / planned;
-                let lost = base_train * at_fraction;
-                let relaunch = SimDuration::from_secs(LAUNCH_OVERHEAD_S);
-                let resume = base_train * (1.0 - kept);
-                train_attempt(
-                    obs,
-                    1,
-                    &format!(
+            let data = prepare_dataset(
+                &records_to_dataset(&records, &cfg.model),
+                model.input_spec(),
+            );
+            let train_report = Trainer::new(cfg.train.clone())
+                .fit_observed(&mut model, &data, obs)
+                .map_err(PipelineError::ModelRejected)?;
+            let cost = TrainingCostModel::new(
+                model.flops_per_inference(),
+                train_report.examples_seen,
+                cfg.train.batch_size as u64,
+            );
+            // Each simulated run at the training work (the clean one, or
+            // the preempted half plus the resumed half) becomes an
+            // `attempt` span, same shape as the retried stages'.
+            let base_train = training_time(&cost, &ComputeDevice::of_gpu(gpu_used));
+            let train_time = match launch.preempt_at_fraction {
+                None => {
+                    attempt_span(obs, "train", 1, |_| Ok(Tried::Done((), base_train)))?;
+                    base_train
+                }
+                Some(at_fraction) => {
+                    // Checkpoints land at epoch boundaries: resume re-runs
+                    // the interrupted epoch, after a fresh node launch.
+                    let planned = Epochs::new(cfg.train.epochs as u32).max_one();
+                    let banked = planned.completed_at(at_fraction);
+                    let kept = banked / planned;
+                    let lost = base_train * at_fraction;
+                    let relaunch = SimDuration::from_secs(LAUNCH_OVERHEAD_S);
+                    let resume = base_train * (1.0 - kept);
+                    let why = format!(
                         "preempted at {:.0}% of training, resuming from epoch {banked}",
                         at_fraction * 100.0,
-                    ),
-                    lost + relaunch,
-                );
-                train_attempt(obs, 2, "ok", resume);
-                lost + relaunch + resume
-            }
-        };
-        stages.push(StageTiming {
-            stage: "train".into(),
-            duration: train_time,
-        });
-        checkpoint(obs, "train");
-        obs.end_span(train_span);
+                    );
+                    attempt_span(obs, "train", 1, |_| {
+                        Ok(Tried::<()>::Failed {
+                            why,
+                            charged: lost + relaunch,
+                            backoff: SimDuration::ZERO,
+                        })
+                    })?;
+                    attempt_span(obs, "train", 2, |_| Ok(Tried::Done((), resume)))?;
+                    lost + relaunch + resume
+                }
+            };
+            Ok(((model, train_report), train_time))
+        })?;
 
         // 6. Deploy the model: object store PUT from the GPU node (the
         // datacenter fabric is not a fault site), resumable GET down to the
         // car, then the car's container (re)start — both fault-prone.
-        let deploy_span = obs.begin_span("deploy-model");
-        let model_bytes = Bytes::new((model.param_count() * 4 + 4096) as u64);
-        let put = transfer_time(
-            &Path::of_presets(&[autolearn_net::LinkPreset::Datacenter]),
-            &TransferSpec::object_store(model_bytes),
-        );
-        obs.advance(put);
-        let mut get = ResumableTransfer::new(TransferSpec::object_store(model_bytes));
-        let (_, get_time) = retry_stage(
-            "deploy-model",
-            policy,
-            derive_seed(seed, "retry-deploy"),
-            obs,
-            |_attempt, obs| match get.attempt_observed(
-                &Path::car_to_cloud(),
-                plan,
+        stage(obs, &mut stages, "deploy-model", |obs, _| {
+            let model_bytes = Bytes::new((model.param_count() * 4 + 4096) as u64);
+            let put = transfer_time(
+                &Path::of_presets(&[autolearn_net::LinkPreset::Datacenter]),
+                &TransferSpec::object_store(model_bytes),
+            );
+            obs.advance(put);
+            let get = retry_transfer(
+                "deploy-model",
                 "model-download",
-                obs,
-            ) {
-                Ok(d) => Ok(((), d)),
-                Err((failure, charged)) => Err(StageFault::Retryable {
-                    why: failure.to_string(),
-                    charged,
-                }),
-            },
-        )?;
-        let mut runtime = ContainerRuntime::new();
-        let image = ImageSpec::autolearn();
-        let (_, container_time) = retry_stage(
-            "deploy-container",
-            policy,
-            derive_seed(seed, "retry-container"),
-            obs,
-            // The image stays cached across failed attempts, so retries
-            // start warm — only the fault's own cost is paid again.
-            |_attempt, obs| match runtime.launch_with_faults_observed(
-                &image,
-                &Path::car_to_cloud(),
+                TransferSpec::object_store(model_bytes),
+                policy,
+                derive_seed(seed, "retry-deploy"),
                 plan,
                 obs,
-            ) {
-                Ok((_container, d)) => Ok(((), d)),
-                Err(err) => {
-                    let wasted = match &err {
-                        autolearn_edge::EdgeLaunchError::DeviceDisconnected { wasted, .. } => {
-                            *wasted
-                        }
-                        autolearn_edge::EdgeLaunchError::ContainerCrashed { wasted } => *wasted,
-                    };
-                    Err(StageFault::Retryable {
+            )?;
+            let mut runtime = ContainerRuntime::new();
+            let image = ImageSpec::autolearn();
+            let car = Path::car_to_cloud();
+            let (_, container) = retry_stage(
+                "deploy-container",
+                policy,
+                derive_seed(seed, "retry-container"),
+                obs,
+                // The image stays cached across failed attempts, so retries
+                // start warm — only the fault's own cost is paid again.
+                |_attempt, obs| match runtime.launch_with_faults(&image, &car, plan, obs) {
+                    Ok((_container, d)) => Ok(((), d)),
+                    Err(err) => Err(StageFault::Retryable {
                         why: err.to_string(),
-                        charged: wasted,
-                    })
-                }
-            },
-        )?;
-        stages.push(StageTiming {
-            stage: "deploy-model".into(),
-            duration: put + get_time + container_time,
-        });
-        checkpoint(obs, "deploy-model");
-        obs.end_span(deploy_span);
+                        charged: err.wasted(),
+                    }),
+                },
+            )?;
+            Ok(((), put + get + container))
+        })?;
 
         // 7. Evaluate: autonomous laps on the same kind of car that
         // collected the data.
-        let (car, camera) = match cfg.collection.path {
-            CollectionPath::PhysicalCar => (
-                CarConfig::real_car(cfg.collection.seed ^ 0xe7a1),
-                cfg.collection
-                    .camera
-                    .clone()
-                    .with_noise(6.0, cfg.collection.seed ^ 0xe7a1),
-            ),
-            _ => (
-                CarConfig::default(),
-                cfg.collection.camera.clone(),
-            ),
-        };
-        let mut sim = Simulation::new(
-            self.track.clone(),
-            car,
-            camera,
-            DriveConfig {
-                store_images: false,
-                ..Default::default()
-            },
-        );
-        let eval_span = obs.begin_span("evaluate");
-        let mut pilot = ModelPilot::new(model);
-        let eval = sim.run_laps(&mut pilot, cfg.eval_laps, cfg.eval_max_duration_s);
-        let eval_time = SimDuration::from_secs(eval.duration_s);
-        obs.advance(eval_time);
-        stages.push(StageTiming {
-            stage: "evaluate".into(),
-            duration: eval_time,
-        });
-        obs.span_attr(eval_span, "autonomy", AttrValue::F64(eval.autonomy()));
-        checkpoint(obs, "evaluate");
-        obs.end_span(eval_span);
+        let (eval, model) = stage(obs, &mut stages, "evaluate", |obs, span| {
+            let (car, camera) = match cfg.collection.path {
+                CollectionPath::PhysicalCar => (
+                    CarConfig::real_car(cfg.collection.seed ^ 0xe7a1),
+                    cfg.collection
+                        .camera
+                        .clone()
+                        .with_noise(6.0, cfg.collection.seed ^ 0xe7a1),
+                ),
+                _ => (CarConfig::default(), cfg.collection.camera.clone()),
+            };
+            let mut sim = Simulation::new(
+                self.track.clone(),
+                car,
+                camera,
+                DriveConfig {
+                    store_images: false,
+                    ..Default::default()
+                },
+            );
+            let mut pilot = ModelPilot::new(model);
+            let eval = sim.run_laps(&mut pilot, cfg.eval_laps, cfg.eval_max_duration_s);
+            let time = SimDuration::from_secs(eval.duration_s);
+            obs.advance(time);
+            obs.span_attr(span, "autonomy", AttrValue::F64(eval.autonomy()));
+            Ok(((eval, pilot.into_model()), time))
+        })?;
 
         // Stage-latency metrics, in stage order.
         for timing in &stages {
@@ -839,7 +861,7 @@ impl Pipeline {
             eval_autonomy: eval.autonomy(),
             eval_mean_speed: eval.mean_speed(),
             eval_crashes: eval.crashes,
-            model: pilot.into_model(),
+            model,
             run_log: log,
         })
     }

@@ -116,6 +116,16 @@ impl std::fmt::Display for EdgeLaunchError {
 
 impl std::error::Error for EdgeLaunchError {}
 
+impl EdgeLaunchError {
+    /// Simulated time the failed launch consumed.
+    pub fn wasted(&self) -> SimDuration {
+        match self {
+            EdgeLaunchError::DeviceDisconnected { wasted, .. }
+            | EdgeLaunchError::ContainerCrashed { wasted } => *wasted,
+        }
+    }
+}
+
 /// Per-device container runtime with an image cache.
 pub struct ContainerRuntime {
     cached_images: Vec<String>,
@@ -176,14 +186,21 @@ impl ContainerRuntime {
     /// aborts the attempt, but the image pull that completed before the
     /// fault stays cached — a retry starts warm, the way Docker behaves on a
     /// real Pi.
+    ///
+    /// Telemetry: bumps `edge.launch_attempts`, records freshly injected
+    /// faults as `fault` events, and emits `container-started` (with whether
+    /// the image was already warm) or `edge-launch-failed`.
     pub fn launch_with_faults(
         &mut self,
         image: &ImageSpec,
         net_path: &Path,
         plan: &mut FaultPlan,
+        obs: &mut Obs,
     ) -> Result<(Container, SimDuration), EdgeLaunchError> {
+        let faults_before = plan.injected().len();
+        let warm = self.image_cached(image);
         let pull = self.preload(image, net_path);
-        match plan.draw(FaultSite::Edge, &image.name) {
+        let result = match plan.draw(FaultSite::Edge, &image.name) {
             Some(FaultKind::DeviceDisconnect { outage_s }) => {
                 Err(EdgeLaunchError::DeviceDisconnected {
                     outage: SimDuration::from_secs(outage_s),
@@ -201,24 +218,7 @@ impl ContainerRuntime {
                 },
                 pull + self.start_time,
             )),
-        }
-    }
-
-    /// [`ContainerRuntime::launch_with_faults`] with telemetry: bumps
-    /// `edge.launch_attempts`, records freshly injected faults as `fault`
-    /// events, and emits `container-started` (with whether the image was
-    /// already warm) or `edge-launch-failed`. The launch outcome is
-    /// identical to the unobserved call.
-    pub fn launch_with_faults_observed(
-        &mut self,
-        image: &ImageSpec,
-        net_path: &Path,
-        plan: &mut FaultPlan,
-        obs: &mut Obs,
-    ) -> Result<(Container, SimDuration), EdgeLaunchError> {
-        let faults_before = plan.injected().len();
-        let warm = self.image_cached(image);
-        let result = self.launch_with_faults(image, net_path, plan);
+        };
         obs.counter_add("edge.launch_attempts", 1);
         obs.record_injected_faults(&plan.injected()[faults_before..]);
         match &result {
@@ -302,16 +302,12 @@ mod tests {
             let mut plan = FaultPlan::from_seed(seed, FaultConfig::chaos(1.0));
             let mut rt = ContainerRuntime::new();
             let img = ImageSpec::autolearn();
-            if let Err(err) = rt.launch_with_faults(&img, &wifi(), &mut plan) {
-                let wasted = match &err {
-                    EdgeLaunchError::DeviceDisconnected { wasted, .. } => *wasted,
-                    EdgeLaunchError::ContainerCrashed { wasted } => *wasted,
-                };
-                assert!(wasted.as_secs() > 0.0, "{err}: nothing charged");
+            if let Err(err) = rt.launch_with_faults(&img, &wifi(), &mut plan, &mut Obs::new()) {
+                assert!(err.wasted().as_secs() > 0.0, "{err}: nothing charged");
                 // The pull survived the fault: the retry is warm.
                 assert!(rt.image_cached(&img));
                 let (c, warm) = rt
-                    .launch_with_faults(&img, &wifi(), &mut FaultPlan::none())
+                    .launch_with_faults(&img, &wifi(), &mut FaultPlan::none(), &mut Obs::new())
                     .unwrap();
                 assert_eq!(c.state, ContainerState::Running);
                 assert_eq!(warm.as_secs(), 18.0);
@@ -322,14 +318,14 @@ mod tests {
     }
 
     #[test]
-    fn observed_launch_reports_cold_and_warm_starts() {
+    fn launch_reports_cold_and_warm_starts() {
         let mut rt = ContainerRuntime::new();
         let img = ImageSpec::autolearn();
         let mut obs = Obs::new();
-        rt.launch_with_faults_observed(&img, &wifi(), &mut FaultPlan::none(), &mut obs)
-            .unwrap();
-        rt.launch_with_faults_observed(&img, &wifi(), &mut FaultPlan::none(), &mut obs)
-            .unwrap();
+        for _ in 0..2 {
+            rt.launch_with_faults(&img, &wifi(), &mut FaultPlan::none(), &mut obs)
+                .unwrap();
+        }
         assert_eq!(obs.metrics().counter("edge.launch_attempts"), 2);
         let warm_flags: Vec<bool> = obs
             .trace()
@@ -347,7 +343,7 @@ mod tests {
     }
 
     #[test]
-    fn observed_faulty_launch_emits_fault_and_failure_events() {
+    fn faulty_launch_emits_fault_and_failure_events() {
         use autolearn_util::fault::FaultConfig;
         for seed in 0..64 {
             let mut plan = FaultPlan::from_seed(seed, FaultConfig::chaos(1.0));
@@ -355,7 +351,7 @@ mod tests {
             let mut obs = Obs::new();
             let img = ImageSpec::autolearn();
             if rt
-                .launch_with_faults_observed(&img, &wifi(), &mut plan, &mut obs)
+                .launch_with_faults(&img, &wifi(), &mut plan, &mut obs)
                 .is_err()
             {
                 assert_eq!(obs.metrics().counter("edge.faults"), 1);
@@ -375,7 +371,7 @@ mod tests {
         assert!(pull.as_mins() > 1.0);
         assert_eq!(rt.preload(&img, &wifi()), SimDuration::ZERO);
         let (_, launch) = rt
-            .launch_with_faults(&img, &wifi(), &mut FaultPlan::none())
+            .launch_with_faults(&img, &wifi(), &mut FaultPlan::none(), &mut Obs::new())
             .unwrap();
         assert_eq!(launch.as_secs(), 18.0);
     }

@@ -71,17 +71,25 @@ impl ResumableTransfer {
     /// On failure, returns the failure and the time charged before it —
     /// partial progress is kept, so the next attempt only re-sends the
     /// delta.
+    ///
+    /// Telemetry: bumps the `net.attempts` / `net.bytes_delivered` /
+    /// `net.retransmit_attempts` counters, records any freshly injected
+    /// faults as `fault` events, and emits a `transfer-failed` event when
+    /// the attempt dies. Nothing on `obs` feeds back into the timing.
     pub fn attempt(
         &mut self,
         path: &Path,
         plan: &mut FaultPlan,
         op: &str,
+        obs: &mut Obs,
     ) -> Result<SimDuration, (TransferFailure, SimDuration)> {
+        let faults_before = plan.injected().len();
+        let frac_before = self.completed;
         let remaining = (1.0 - self.completed).max(0.0);
         let overhead = overhead_time(path, &self.spec);
         let remaining_bytes = self.spec.bytes.scale_ceil(remaining);
         let ser = serialisation_time(path, remaining_bytes, self.spec.efficiency);
-        match plan.draw(FaultSite::Net, op) {
+        let result = match plan.draw(FaultSite::Net, op) {
             Some(FaultKind::LinkFlap {
                 at_fraction,
                 downtime_s,
@@ -110,24 +118,7 @@ impl ResumableTransfer {
                 self.completed = 1.0;
                 Ok(overhead + ser)
             }
-        }
-    }
-
-    /// [`ResumableTransfer::attempt`] with telemetry: bumps the
-    /// `net.attempts` / `net.bytes_delivered` / `net.retransmit_attempts`
-    /// counters, records any freshly injected faults as `fault` events,
-    /// and emits a `transfer-failed` event when the attempt dies. Timing
-    /// and outcome are identical to the unobserved call.
-    pub fn attempt_observed(
-        &mut self,
-        path: &Path,
-        plan: &mut FaultPlan,
-        op: &str,
-        obs: &mut Obs,
-    ) -> Result<SimDuration, (TransferFailure, SimDuration)> {
-        let faults_before = plan.injected().len();
-        let frac_before = self.completed;
-        let result = self.attempt(path, plan, op);
+        };
         obs.counter_add("net.attempts", 1);
         if frac_before > 0.0 {
             // A resume re-pays the handshake for bytes already counted once.
@@ -168,7 +159,9 @@ mod tests {
     fn fault_free_attempt_matches_transfer_time() {
         let spec = TransferSpec::rsync(Bytes::new(30_000_000));
         let mut t = ResumableTransfer::new(spec);
-        let got = t.attempt(&wifi(), &mut FaultPlan::none(), "up").unwrap();
+        let got = t
+            .attempt(&wifi(), &mut FaultPlan::none(), "up", &mut Obs::new())
+            .unwrap();
         assert_eq!(got, transfer_time(&wifi(), &spec));
         assert!(t.is_complete());
     }
@@ -179,14 +172,15 @@ mod tests {
         for seed in 0..64 {
             let mut plan = FaultPlan::from_seed(seed, FaultConfig::chaos(1.0));
             let mut t = ResumableTransfer::new(TransferSpec::rsync(Bytes::new(30_000_000)));
-            if let Err((failure, charged)) = t.attempt(&wifi(), &mut plan, "up") {
+            let first = t.attempt(&wifi(), &mut plan, "up", &mut Obs::new());
+            if let Err((failure, charged)) = first {
                 assert!(charged.as_secs() > 0.0, "{failure}: charged {charged}");
                 assert!(t.completed_fraction() > 0.0 && t.completed_fraction() < 1.0);
                 // The retry only re-sends the delta: strictly cheaper than a
                 // cold full transfer would be, once the handshake is netted
                 // out of both.
                 let retry = t
-                    .attempt(&wifi(), &mut FaultPlan::none(), "up")
+                    .attempt(&wifi(), &mut FaultPlan::none(), "up", &mut Obs::new())
                     .expect("calm retry succeeds");
                 let full = transfer_time(&wifi(), &TransferSpec::rsync(Bytes::new(30_000_000)));
                 assert!(retry.as_secs() < full.as_secs(), "{retry} !< {full}");
@@ -206,7 +200,9 @@ mod tests {
             if let Some(FaultKind::LinkDegraded { .. }) = drawn {
                 let spec = TransferSpec::rsync(Bytes::new(30_000_000));
                 let mut t = ResumableTransfer::new(spec);
-                let got = t.attempt(&wifi(), &mut plan, "up").unwrap();
+                let got = t
+                    .attempt(&wifi(), &mut plan, "up", &mut Obs::new())
+                    .unwrap();
                 assert!(got.as_secs() > transfer_time(&wifi(), &spec).as_secs());
                 assert!(t.is_complete());
                 return;
@@ -216,19 +212,14 @@ mod tests {
     }
 
     #[test]
-    fn observed_attempt_matches_unobserved_and_counts_faults() {
+    fn attempt_counts_faults() {
         for seed in 0..64 {
-            let mut plain = FaultPlan::from_seed(seed, FaultConfig::chaos(1.0));
-            let mut obs_plan = FaultPlan::from_seed(seed, FaultConfig::chaos(1.0));
-            let spec = TransferSpec::rsync(Bytes::new(30_000_000));
-            let mut a = ResumableTransfer::new(spec);
-            let mut b = ResumableTransfer::new(spec);
-            let mut obs = autolearn_obs::Obs::new();
-            let plain_out = a.attempt(&wifi(), &mut plain, "up");
-            let observed_out = b.attempt_observed(&wifi(), &mut obs_plan, "up", &mut obs);
-            assert_eq!(plain_out, observed_out, "telemetry must not change timing");
+            let mut plan = FaultPlan::from_seed(seed, FaultConfig::chaos(1.0));
+            let mut t = ResumableTransfer::new(TransferSpec::rsync(Bytes::new(30_000_000)));
+            let mut obs = Obs::new();
+            let out = t.attempt(&wifi(), &mut plan, "up", &mut obs);
             assert_eq!(obs.metrics().counter("net.attempts"), 1);
-            if observed_out.is_err() {
+            if out.is_err() {
                 assert_eq!(obs.metrics().counter("net.faults"), 1);
                 assert_eq!(obs.trace().events_named("fault").count(), 1);
                 assert_eq!(obs.trace().events_named("transfer-failed").count(), 1);
@@ -248,7 +239,7 @@ mod tests {
             let mut timeline = Vec::new();
             // no-unbounded-retry: bounded by the explicit attempt cap below.
             for _attempt in 0..8 {
-                match t.attempt(&wifi(), &mut plan, "up") {
+                match t.attempt(&wifi(), &mut plan, "up", &mut Obs::new()) {
                     Ok(d) => {
                         timeline.push(d.as_secs());
                         break;

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# The full local CI gate: release build, the umbrella and workspace test
-# suites, and the static-analysis gate — everything a change must pass
-# before merging.
+# The full local CI gate: release build, the umbrella, workspace and
+# benchmark test suites, and the static-analysis gate — everything a change
+# must pass before merging.
 #
 #   scripts/ci.sh
 #
@@ -24,6 +24,12 @@ echo "== ci: cargo test --workspace -q =="
 # Every member crate's unit and integration tests (the phase above runs
 # only the umbrella crate's).
 cargo test --workspace -q || status=$?
+
+echo
+echo "== ci: cargo test perfbench =="
+# The benchmark package is not a workspace member, so the phases above never
+# build it; this one catches a renamed entry point it calls.
+cargo test --offline -q --manifest-path perfbench/Cargo.toml || status=$?
 
 echo
 echo "== ci: static-analysis gate =="

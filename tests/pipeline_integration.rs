@@ -178,3 +178,30 @@ fn sequence_model_trains_through_full_path() {
     .expect("zoo graph validates");
     assert!(report.best_val_loss.is_finite());
 }
+
+#[test]
+fn too_few_records_is_a_typed_train_error_not_a_panic() {
+    use autolearn::pipeline::{Pipeline, PipelineConfig, PipelineError};
+    // No records at all, one record, and two records that a sequence
+    // model's windows cannot split.
+    for (duration_s, kind, expected) in [
+        (0.0, ModelKind::Linear, 0),
+        (0.05, ModelKind::Linear, 1),
+        (0.1, ModelKind::Rnn, 2),
+    ] {
+        let mut cfg = PipelineConfig::lesson_default(5);
+        cfg.collection.duration_s = duration_s;
+        cfg.model_kind = kind;
+        match Pipeline::new(circle_track(3.0, 0.8), cfg).run() {
+            Err(err @ PipelineError::TooFewRecords { records }) => {
+                assert_eq!(records, expected, "{duration_s} s");
+                assert_eq!(err.stage(), Some("train"), "{duration_s} s");
+            }
+            Err(other) => panic!("{duration_s} s: expected TooFewRecords, got {other}"),
+            Ok(report) => panic!(
+                "{duration_s} s: expected TooFewRecords, trained on {} records",
+                report.records_cleaned
+            ),
+        }
+    }
+}
