@@ -153,3 +153,90 @@ proptest! {
         }
     }
 }
+
+/// FNV-1a-64 over the little-endian bits of every weight, in
+/// `state_dict` order.
+fn weights_digest(model: &mut CarModel) -> u64 {
+    model
+        .state_dict()
+        .iter()
+        .flatten()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// A small three-channel camera with live dropout in the trunk (and the
+/// Memory merge chain).
+fn small_dropout_cfg() -> ModelConfig {
+    ModelConfig {
+        channels: 3,
+        height: 20,
+        width: 28,
+        seq_len: 4,
+        history: 3,
+        dropout: 0.25,
+        seed: 7,
+        ..Default::default()
+    }
+}
+
+/// Pins what `CarModel::build` produces for every kind, so a refactor of
+/// how the zoo is constructed cannot move a single weight bit: the
+/// parameter count and the initial-weights digest at two configs, plus,
+/// at the dropout config, the weights after one Adam step on a fixed
+/// batch — which also pins the dropout streams' seeds.
+#[test]
+fn built_weights_match_pinned_digests() {
+    use autolearn_nn::Adam;
+
+    // (kind, params, initial digest, digest after one step) per config.
+    let pinned: [(ModelConfig, [(ModelKind, usize, u64, Option<u64>); 6]); 2] = [
+        (
+            small_dropout_cfg(),
+            [
+                (ModelKind::Linear, 10706, 0x30e7_4f20_8bd4_f15a, Some(0x79f7_8961_2220_0e66)),
+                (ModelKind::Memory, 15250, 0x417c_9cfc_1a2c_d2f7, Some(0x7f03_d02d_031d_ed2d)),
+                (ModelKind::ThreeD, 34442, 0x7d07_eb68_3941_6084, Some(0xba25_b52c_1c5f_55eb)),
+                (ModelKind::Categorical, 12851, 0xc8d1_6422_5260_36a0, Some(0xe6dc_7af7_536b_5cd1)),
+                (ModelKind::Inferred, 10641, 0xe4b3_5366_9ed3_1888, Some(0x4fd6_3029_9f68_7f34)),
+                (ModelKind::Rnn, 23058, 0x1cf5_51b4_88ba_2aae, Some(0x3d8b_041a_5990_6c5f)),
+            ],
+        ),
+        (
+            ModelConfig::default(),
+            [
+                (ModelKind::Linear, 18498, 0xb09a_6969_6eaa_710d, None),
+                (ModelKind::Memory, 23170, 0x72d1_a963_265b_e79b, None),
+                (ModelKind::ThreeD, 52074, 0xa58e_870f_365f_ad7a, None),
+                (ModelKind::Categorical, 20643, 0x4697_0f09_be88_3c77, None),
+                (ModelKind::Inferred, 18433, 0xd788_dff4_c4c1_27b5, None),
+                (ModelKind::Rnn, 30850, 0xb602_8e70_770d_061f, None),
+            ],
+        ),
+    ];
+    let mut mismatches = Vec::new();
+    for (cfg, kinds) in &pinned {
+        let raw = records_to_dataset(&tub_records(12), cfg);
+        for &(kind, params, initial, stepped) in kinds {
+            let mut model = CarModel::build(kind, cfg);
+            let got_params = model.param_count();
+            let got_initial = weights_digest(&mut model);
+            let got_stepped = stepped.map(|_| {
+                let data = prepare_dataset(&raw, model.input_spec());
+                let batch = &data.batches(4, false, 0)[0];
+                model.train_batch(batch, &mut Adam::new(1e-2));
+                weights_digest(&mut model)
+            });
+            if (got_params, got_initial, got_stepped) != (params, initial, stepped) {
+                mismatches.push(format!(
+                    "{kind:?} at {}x{}x{}: params {got_params}, initial {got_initial:016x}, \
+                     stepped {got_stepped:016x?}; pinned {params}, {initial:016x}, {stepped:016x?}",
+                    cfg.channels, cfg.height, cfg.width
+                ));
+            }
+        }
+    }
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
