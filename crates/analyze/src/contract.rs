@@ -539,7 +539,6 @@ mod tests {
                     output: 1,
                 }],
             )],
-            declared_params: None,
             declared_feature_dim: None,
         }
     }

@@ -3,10 +3,10 @@
 //! A neutral, dependency-free description of a layer graph
 //! ([`LayerSpec`] / [`ModelSpec`]) plus a dataflow pass
 //! ([`validate_model`]) that propagates shapes symbolically — no tensor is
-//! ever allocated. `autolearn-nn` converts its live layer objects into
-//! these specs (via `Layer::spec`) and calls the validator before any
-//! training step runs; `autolearn-core`'s pipeline does the same from the
-//! model *plan* before even building the model.
+//! ever allocated. `autolearn-nn`'s zoo describes each architecture once,
+//! as a `ModelSpec` plan that it instantiates into live layers; the
+//! trainer validates that plan before any training step runs, and
+//! `autolearn-core`'s pipeline does so before even building the model.
 //!
 //! The pass detects:
 //!
@@ -15,7 +15,7 @@
 //!   input, a pooled dimension collapsing to 0),
 //! * dead layers (no-op dropout, linear activation mid-chain, flatten of
 //!   an already-flat tensor) — reported as warnings,
-//! * parameter-count drift against the zoo's declared expectations,
+//! * a feature width that disagrees with the one the spec declares,
 //! * train-only layers (Dropout / BatchNorm) that are misconfigured or
 //!   placed where they would corrupt inference (e.g. dropout as the last
 //!   layer of a head).
@@ -60,7 +60,7 @@ pub enum LayerSpec {
     /// Apply `inner` independently per time step:
     /// `[B, T, ...] -> [B, T, inner_out...]`.
     TimeDistributed { inner: Box<LayerSpec> },
-    /// An ordered sub-chain (how `Sequential` describes itself).
+    /// An ordered sub-chain (instantiated as a `Sequential`).
     Chain(Vec<LayerSpec>),
 }
 
@@ -99,8 +99,7 @@ impl LayerSpec {
     }
 
     /// Trainable parameter count implied by the spec (matches the live
-    /// layers in `autolearn-nn`; drift between the two is itself a bug the
-    /// zoo tests catch).
+    /// layers `autolearn-nn` instantiates from it; the zoo tests pin that).
     pub fn param_count(&self) -> u64 {
         match self {
             LayerSpec::Dense { input, output } => (input * output + output) as u64,
@@ -297,10 +296,6 @@ pub struct ModelSpec {
     pub merge: Vec<LayerSpec>,
     /// Named output heads, each fed the final feature vector.
     pub heads: Vec<(String, Vec<LayerSpec>)>,
-    /// Total trainable parameters the zoo declares for this architecture,
-    /// if it declares one. Drift between this and the spec-derived count
-    /// is an error.
-    pub declared_params: Option<u64>,
     /// Feature width the zoo says the trunk(+merge) produces.
     pub declared_feature_dim: Option<usize>,
 }
@@ -638,27 +633,13 @@ pub fn validate_model(spec: &ModelSpec) -> Result<GraphReport, Vec<GraphError>> 
         }
     }
 
-    let total_params = spec.total_params();
-
-    if let Some(declared) = spec.declared_params {
-        if declared != total_params {
-            errors.push(GraphError {
-                location: "model".to_string(),
-                message: format!(
-                    "parameter-count drift: graph has {total_params} trainable parameters, \
-                     zoo declares {declared}"
-                ),
-            });
-        }
-    }
-
     if errors.is_empty() {
         Ok(GraphReport {
             name: spec.name.clone(),
             input: spec.input.clone(),
             steps,
             feature_dim: feature_dim.unwrap_or(0),
-            total_params,
+            total_params: spec.total_params(),
             warnings,
         })
     } else {
@@ -682,7 +663,6 @@ mod tests {
             aux_width: None,
             merge: Vec::new(),
             heads,
-            declared_params: None,
             declared_feature_dim: None,
         }
     }
@@ -729,7 +709,6 @@ mod tests {
             aux_width: None,
             merge: Vec::new(),
             heads: vec![("s".to_string(), vec![dense(8, 1)])],
-            declared_params: None,
             declared_feature_dim: None,
         };
         let errors = validate_model(&spec).unwrap_err();
@@ -745,7 +724,6 @@ mod tests {
             aux_width: None,
             merge: Vec::new(),
             heads: Vec::new(),
-            declared_params: None,
             declared_feature_dim: None,
         };
         let errors = validate_model(&spec).unwrap_err();
@@ -792,17 +770,6 @@ mod tests {
     }
 
     #[test]
-    fn param_drift_is_detected() {
-        let mut spec = simple_spec(
-            vec![dense(8, 16)],
-            vec![("out".to_string(), vec![dense(16, 1)])],
-        );
-        spec.declared_params = Some(999);
-        let errors = validate_model(&spec).unwrap_err();
-        assert!(errors.iter().any(|e| e.message.contains("parameter-count drift")));
-    }
-
-    #[test]
     fn memory_style_concat_and_merge() {
         let mut spec = simple_spec(
             vec![dense(8, 64)],
@@ -838,7 +805,6 @@ mod tests {
             aux_width: None,
             merge: Vec::new(),
             heads: vec![("s".to_string(), vec![dense(8, 1)])],
-            declared_params: None,
             declared_feature_dim: Some(8),
         };
         let report = validate_model(&spec).expect("rnn graph valid");

@@ -45,7 +45,6 @@ fn model(input: Vec<usize>, layers: Vec<LayerSpec>, feat: usize) -> ModelSpec {
                 },
             ],
         )],
-        declared_params: None,
         declared_feature_dim: Some(feat),
     }
 }

@@ -23,6 +23,7 @@ use autolearn_nn::layers::{Conv2D, Conv3D, Layer};
 use autolearn_nn::Tensor;
 use autolearn_util::rng::rng_from_seed;
 use rand::Rng;
+use serde::{Deserialize, Serialize};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -228,45 +229,51 @@ fn case_conv3d(
     )
 }
 
-fn render_json(results: &[CaseResult], batch: usize, h: usize, w: usize, iters: usize) -> String {
-    let mut s = String::from("{\n");
-    s.push_str("  \"bench\": \"kernels\",\n");
-    s.push_str(&format!(
-        "  \"shapes\": \"batch {batch}, camera {h}x{w}, conv2d f8 k5 s2, conv3d f8 kt2 k5, dense 7488->64\",\n"
-    ));
-    s.push_str(&format!("  \"iters_per_case\": {iters},\n"));
-    s.push_str("  \"unit\": \"median ns per call\",\n");
-    s.push_str("  \"cases\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{ \"name\": \"{}\", \"optimized_ns\": {}, \"reference_ns\": {}, \"speedup\": {:.2} }}{}\n",
-            r.name,
-            r.optimized_ns,
-            r.reference_ns,
-            r.speedup(),
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+/// The `BENCH_kernels.json` snapshot: what a full run writes and what
+/// `--check` reads back.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct Snapshot {
+    bench: String,
+    shapes: String,
+    iters_per_case: usize,
+    unit: String,
+    cases: Vec<SnapshotCase>,
 }
 
-/// Sum of the `"optimized_ns": N` fields in a snapshot JSON. Hand-parsed
-/// (the snapshot is our own fixed format) so the bench binary stays free
-/// of JSON dependencies.
-fn snapshot_optimized_total(json: &str) -> Option<u64> {
-    let mut total = 0u64;
-    let mut seen = false;
-    for chunk in json.split("\"optimized_ns\":").skip(1) {
-        let digits: String = chunk
-            .trim_start()
-            .chars()
-            .take_while(|c| c.is_ascii_digit())
-            .collect();
-        total += digits.parse::<u64>().ok()?;
-        seen = true;
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct SnapshotCase {
+    name: String,
+    optimized_ns: u64,
+    reference_ns: u64,
+    /// Naive-over-optimized time, rounded to two decimals.
+    speedup: f64,
+}
+
+impl Snapshot {
+    fn new(results: &[CaseResult], batch: usize, h: usize, w: usize, iters: usize) -> Snapshot {
+        Snapshot {
+            bench: "kernels".to_string(),
+            shapes: format!(
+                "batch {batch}, camera {h}x{w}, conv2d f8 k5 s2, conv3d f8 kt2 k5, dense 7488->64"
+            ),
+            iters_per_case: iters,
+            unit: "median ns per call".to_string(),
+            cases: results
+                .iter()
+                .map(|r| SnapshotCase {
+                    name: r.name.to_string(),
+                    optimized_ns: r.optimized_ns,
+                    reference_ns: r.reference_ns,
+                    speedup: (r.speedup() * 100.0).round() / 100.0,
+                })
+                .collect(),
+        }
     }
-    seen.then_some(total)
+
+    /// The `--check` aggregate: total optimized ns over every case.
+    fn optimized_total(&self) -> u64 {
+        self.cases.iter().map(|c| c.optimized_ns).sum()
+    }
 }
 
 /// Regression tolerance for `--check`: aggregate optimized ns may not
@@ -274,16 +281,19 @@ fn snapshot_optimized_total(json: &str) -> Option<u64> {
 const CHECK_TOLERANCE: f64 = 1.05;
 
 fn run_check(results: &[CaseResult], snapshot_path: &str) -> i32 {
-    let json = match std::fs::read_to_string(snapshot_path) {
-        Ok(s) => s,
+    let snapshot = std::fs::read_to_string(snapshot_path)
+        .map_err(|e| e.to_string())
+        .and_then(|json| serde_json::from_str::<Snapshot>(&json).map_err(|e| e.to_string()));
+    let baseline = match snapshot {
+        Ok(snapshot) if !snapshot.cases.is_empty() => snapshot.optimized_total(),
+        Ok(_) => {
+            println!("kernel_bench: snapshot {snapshot_path} has no cases");
+            return 1;
+        }
         Err(e) => {
             println!("kernel_bench: cannot read snapshot {snapshot_path}: {e}");
             return 1;
         }
-    };
-    let Some(baseline) = snapshot_optimized_total(&json) else {
-        println!("kernel_bench: snapshot {snapshot_path} has no optimized_ns fields");
-        return 1;
     };
     let measured: u64 = results.iter().map(|r| r.optimized_ns).sum();
     let ratio = measured as f64 / baseline as f64;
@@ -363,8 +373,44 @@ fn main() {
         std::process::exit(run_check(&results, &path));
     }
 
-    let json = render_json(&results, batch, h, w, iters);
+    let snapshot = Snapshot::new(&results, batch, h, w, iters);
+    let json = serde_json::to_string_pretty(&snapshot).expect("snapshot serialises");
     let path = "BENCH_kernels.json";
-    std::fs::write(path, json).expect("write BENCH_kernels.json");
+    std::fs::write(path, json + "\n").expect("write BENCH_kernels.json");
     println!("kernel_bench: wrote {path}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn committed_snapshot_parses_to_its_aggregate() {
+        let snapshot: Snapshot =
+            serde_json::from_str(include_str!("../../../../BENCH_kernels.json")).unwrap();
+        assert_eq!(snapshot.cases.len(), 5);
+        assert_eq!(snapshot.optimized_total(), 111_255_874);
+    }
+
+    #[test]
+    fn snapshot_round_trips() {
+        let results = [
+            CaseResult {
+                name: "matmul_dense",
+                optimized_ns: 848_566,
+                reference_ns: 2_584_446,
+            },
+            CaseResult {
+                name: "conv3d_backward",
+                optimized_ns: 3,
+                reference_ns: 10,
+            },
+        ];
+        let snapshot = Snapshot::new(&results, 32, 120, 160, 11);
+        assert_eq!(snapshot.cases[0].speedup, 3.05);
+        assert_eq!(snapshot.cases[1].speedup, 3.33);
+        let json = serde_json::to_string_pretty(&snapshot).unwrap();
+        assert_eq!(serde_json::from_str::<Snapshot>(&json).unwrap(), snapshot);
+        assert_eq!(snapshot.optimized_total(), 848_569);
+    }
 }

@@ -139,12 +139,6 @@ impl Layer for BatchNorm1d {
     fn name(&self) -> String {
         format!("BatchNorm1d({})", self.features)
     }
-
-    fn spec(&self) -> crate::layers::LayerSpec {
-        crate::layers::LayerSpec::BatchNorm1d {
-            features: self.features,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -175,15 +175,6 @@ impl Layer for Conv2D {
             self.in_ch, self.filters, self.k, self.k, self.stride
         )
     }
-
-    fn spec(&self) -> crate::layers::LayerSpec {
-        crate::layers::LayerSpec::Conv2D {
-            in_channels: self.in_ch,
-            filters: self.filters,
-            kernel: self.k,
-            stride: self.stride,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -182,17 +182,6 @@ impl Layer for Conv3D {
             self.in_ch, self.filters, self.kt, self.k, self.k, self.st, self.s
         )
     }
-
-    fn spec(&self) -> crate::layers::LayerSpec {
-        crate::layers::LayerSpec::Conv3D {
-            in_channels: self.in_ch,
-            filters: self.filters,
-            kernel_t: self.kt,
-            kernel: self.k,
-            stride_t: self.st,
-            stride: self.s,
-        }
-    }
 }
 
 #[cfg(test)]

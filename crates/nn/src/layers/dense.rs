@@ -127,13 +127,6 @@ impl Layer for Dense {
     fn name(&self) -> String {
         format!("Dense({}→{})", self.in_dim, self.out_dim)
     }
-
-    fn spec(&self) -> crate::layers::LayerSpec {
-        crate::layers::LayerSpec::Dense {
-            input: self.in_dim,
-            output: self.out_dim,
-        }
-    }
 }
 
 #[cfg(test)]

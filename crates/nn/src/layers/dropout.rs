@@ -70,12 +70,6 @@ impl Layer for Dropout {
     fn name(&self) -> String {
         format!("Dropout({})", self.p)
     }
-
-    fn spec(&self) -> crate::layers::LayerSpec {
-        crate::layers::LayerSpec::Dropout {
-            rate: self.p as f64,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -43,10 +43,6 @@ impl Layer for Flatten {
     fn name(&self) -> String {
         "Flatten".to_string()
     }
-
-    fn spec(&self) -> crate::layers::LayerSpec {
-        crate::layers::LayerSpec::Flatten
-    }
 }
 
 #[cfg(test)]

@@ -264,13 +264,6 @@ impl Layer for Lstm {
     fn name(&self) -> String {
         format!("Lstm({}→{})", self.in_dim, self.hidden)
     }
-
-    fn spec(&self) -> crate::layers::LayerSpec {
-        crate::layers::LayerSpec::Lstm {
-            input: self.in_dim,
-            hidden: self.hidden,
-        }
-    }
 }
 
 #[cfg(test)]

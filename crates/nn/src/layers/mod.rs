@@ -29,7 +29,6 @@ pub use pool::MaxPool2D;
 pub use timedistributed::TimeDistributed;
 
 use crate::tensor::Tensor;
-pub use autolearn_analyze::graph::LayerSpec;
 use serde::{Deserialize, Serialize};
 
 /// A trainable parameter: value plus gradient accumulator.
@@ -91,10 +90,6 @@ pub trait Layer: Send {
     fn scratch_bytes(&self) -> usize {
         0
     }
-
-    /// Symbolic description of this layer for the static graph validator
-    /// ([`autolearn_analyze::graph::validate_model`]).
-    fn spec(&self) -> LayerSpec;
 }
 
 /// Element-wise activation functions as a layer.
@@ -170,12 +165,6 @@ impl Layer for ActivationLayer {
 
     fn name(&self) -> String {
         format!("{:?}", self.kind)
-    }
-
-    fn spec(&self) -> LayerSpec {
-        LayerSpec::Activation {
-            kind: format!("{:?}", self.kind).to_lowercase(),
-        }
     }
 }
 

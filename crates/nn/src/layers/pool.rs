@@ -102,10 +102,6 @@ impl Layer for MaxPool2D {
     fn name(&self) -> String {
         format!("MaxPool2D({0}x{0})", self.k)
     }
-
-    fn spec(&self) -> crate::layers::LayerSpec {
-        crate::layers::LayerSpec::MaxPool2D { size: self.k }
-    }
 }
 
 #[cfg(test)]

@@ -71,12 +71,6 @@ impl Layer for TimeDistributed {
     fn name(&self) -> String {
         format!("TimeDistributed({})", self.inner.name())
     }
-
-    fn spec(&self) -> crate::layers::LayerSpec {
-        crate::layers::LayerSpec::TimeDistributed {
-            inner: Box::new(self.inner.spec()),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -13,6 +13,7 @@ use crate::tensor::Tensor;
 use autolearn_analyze::contract::FrameLayout;
 use autolearn_analyze::graph::{LayerSpec, ModelSpec};
 use autolearn_util::rng::derive_rng;
+use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
 /// Concatenate two `[B, a]` / `[B, b]` tensors into `[B, a+b]`.
@@ -61,94 +62,34 @@ pub struct CarModel {
 }
 
 impl CarModel {
-    /// Build a model of `kind` with the given config.
+    /// Build a model of `kind` with the given config: instantiate
+    /// [`CarModel::plan`]'s trunk, merge and heads, in that order, drawing
+    /// every weight from one stream seeded by `cfg.seed` and the kind's
+    /// name. Dropout in the trunk is seeded with `cfg.seed ^ 0xd0`, in the
+    /// merge chain with `cfg.seed ^ 0xd1`, in head `n` (none has dropout
+    /// today) with `cfg.seed ^ (0xd2 + n)`.
     pub fn build(kind: ModelKind, cfg: &ModelConfig) -> CarModel {
+        assert!(
+            kind != ModelKind::ThreeD || cfg.seq_len >= 3,
+            "3D model needs seq_len >= 3"
+        );
+        let plan = Self::plan(kind, cfg);
         let mut rng = derive_rng(cfg.seed, kind.name());
-        let (c, h, w) = (cfg.channels, cfg.height, cfg.width);
-
-        // Shared 2-D conv feature stack (scaled-down DonkeyCar default).
-        let conv_stack = |rng: &mut rand::rngs::StdRng| -> (Sequential, usize) {
-            let mut s = Sequential::new();
-            s.add(Conv2D::new(c, 8, 5, 2, rng));
-            s.add(ActivationLayer::new(Activation::Relu));
-            s.add(Conv2D::new(8, 16, 3, 2, rng));
-            s.add(ActivationLayer::new(Activation::Relu));
-            s.add(Conv2D::new(16, 32, 3, 2, rng));
-            s.add(ActivationLayer::new(Activation::Relu));
-            s.add(Flatten::new());
-            let flat = s.output_shape(&[1, c, h, w])[1];
-            (s, flat)
+        let trunk = instantiate(&plan.layers, cfg.seed ^ 0xd0, &mut rng);
+        let merge =
+            (!plan.merge.is_empty()).then(|| instantiate(&plan.merge, cfg.seed ^ 0xd1, &mut rng));
+        let mut heads = plan
+            .heads
+            .iter()
+            .zip(0xd2..)
+            .map(|((_, layers), salt)| instantiate(layers, cfg.seed ^ salt, &mut rng));
+        let (Some(head_s), head_t, Some(feat_dim)) =
+            (heads.next(), heads.next(), plan.declared_feature_dim)
+        else {
+            // INVARIANT: `plan` declares a steering head and the feature
+            // width for every kind.
+            panic!("{kind} plan lacks a head or its feature dim");
         };
-
-        let mut merge = None;
-        let (trunk, feat_dim) = match kind {
-            ModelKind::Linear | ModelKind::Categorical | ModelKind::Inferred => {
-                let (mut s, flat) = conv_stack(&mut rng);
-                s.add(Dense::new(flat, 64, &mut rng));
-                s.add(ActivationLayer::new(Activation::Relu));
-                s.add(Dropout::new(cfg.dropout, cfg.seed ^ 0xd0));
-                (s, 64)
-            }
-            ModelKind::Memory => {
-                let (mut s, flat) = conv_stack(&mut rng);
-                s.add(Dense::new(flat, 64, &mut rng));
-                s.add(ActivationLayer::new(Activation::Relu));
-                let mut m = Sequential::new();
-                m.add(Dense::new(64 + 2 * cfg.history, 64, &mut rng));
-                m.add(ActivationLayer::new(Activation::Relu));
-                m.add(Dropout::new(cfg.dropout, cfg.seed ^ 0xd1));
-                merge = Some(m);
-                (s, 64)
-            }
-            ModelKind::Rnn => {
-                let (mut inner, flat) = conv_stack(&mut rng);
-                inner.add(Dense::new(flat, 64, &mut rng));
-                inner.add(ActivationLayer::new(Activation::Relu));
-                let mut s = Sequential::new();
-                s.add(TimeDistributed::new(Box::new(inner)));
-                s.add(Lstm::new(64, 32, &mut rng));
-                (s, 32)
-            }
-            ModelKind::ThreeD => {
-                assert!(cfg.seq_len >= 3, "3D model needs seq_len >= 3");
-                let mut s = Sequential::new();
-                s.add(Conv3D::new(c, 8, 2, 5, 1, 2, &mut rng));
-                s.add(ActivationLayer::new(Activation::Relu));
-                s.add(Conv3D::new(8, 16, 2, 3, 1, 2, &mut rng));
-                s.add(ActivationLayer::new(Activation::Relu));
-                s.add(Flatten::new());
-                let flat = s.output_shape(&[1, c, cfg.seq_len, h, w])[1];
-                s.add(Dense::new(flat, 64, &mut rng));
-                s.add(ActivationLayer::new(Activation::Relu));
-                (s, 64)
-            }
-        };
-
-        let (head_s, head_t) = match kind {
-            ModelKind::Categorical => {
-                let mut hs = Sequential::new();
-                hs.add(Dense::new(feat_dim, cfg.steering_bins, &mut rng));
-                let mut ht = Sequential::new();
-                ht.add(Dense::new(feat_dim, cfg.throttle_bins, &mut rng));
-                (hs, Some(ht))
-            }
-            ModelKind::Inferred => {
-                let mut hs = Sequential::new();
-                hs.add(Dense::new(feat_dim, 1, &mut rng));
-                hs.add(ActivationLayer::new(Activation::Tanh));
-                (hs, None)
-            }
-            _ => {
-                let mut hs = Sequential::new();
-                hs.add(Dense::new(feat_dim, 1, &mut rng));
-                hs.add(ActivationLayer::new(Activation::Tanh));
-                let mut ht = Sequential::new();
-                ht.add(Dense::new(feat_dim, 1, &mut rng));
-                ht.add(ActivationLayer::new(Activation::Sigmoid));
-                (hs, Some(ht))
-            }
-        };
-
         CarModel {
             kind,
             cfg: cfg.clone(),
@@ -163,22 +104,6 @@ impl CarModel {
 
     pub fn config(&self) -> &ModelConfig {
         &self.cfg
-    }
-
-    /// Shape of the primary (image) input for a single example.
-    fn image_input_shape(&self, batch: usize) -> Vec<usize> {
-        let ModelConfig {
-            height,
-            width,
-            channels,
-            seq_len,
-            ..
-        } = self.cfg;
-        match self.kind {
-            ModelKind::Rnn => vec![batch, seq_len, channels, height, width],
-            ModelKind::ThreeD => vec![batch, channels, seq_len, height, width],
-            _ => vec![batch, channels, height, width],
-        }
     }
 
     /// Total bytes of reusable kernel scratch (im2col buffers, activation
@@ -290,13 +215,6 @@ impl CarModel {
         }
     }
 
-    /// Symbolic architecture plan for `kind`/`cfg`, built without
-    /// allocating a single tensor. This is the zoo's declared expectation:
-    /// [`CarModel::graph_spec`] validates the *live* layers against the
-    /// plan's parameter totals, so an edit to [`CarModel::build`] that is
-    /// not mirrored here fails validation before training starts. Feed it
-    /// to [`autolearn_analyze::validate_model`] to vet a config (e.g. a
-    /// degenerate camera geometry) before paying for `build`.
     /// Where the camera frame lives in this kind's input tensor — the
     /// static-contract counterpart of the input shape [`CarModel::plan`]
     /// declares.
@@ -308,191 +226,108 @@ impl CarModel {
         }
     }
 
+    /// The architecture of `kind` at `cfg`: the one description of each
+    /// zoo model. [`CarModel::build`] instantiates it layer by layer;
+    /// [`autolearn_analyze::validate_model`] propagates its shapes without
+    /// allocating a single tensor, so a config (e.g. a degenerate camera
+    /// geometry) can be vetted before paying for `build`.
     pub fn plan(kind: ModelKind, cfg: &ModelConfig) -> ModelSpec {
         let (c, h, w) = (cfg.channels, cfg.height, cfg.width);
-        let relu = || LayerSpec::Activation {
-            kind: "relu".to_string(),
+        let act = |kind: &str| LayerSpec::Activation {
+            kind: kind.to_string(),
         };
-        let conv_stack = || {
-            vec![
-                LayerSpec::Conv2D {
-                    in_channels: c,
-                    filters: 8,
-                    kernel: 5,
-                    stride: 2,
-                },
-                relu(),
-                LayerSpec::Conv2D {
-                    in_channels: 8,
-                    filters: 16,
-                    kernel: 3,
-                    stride: 2,
-                },
-                relu(),
-                LayerSpec::Conv2D {
-                    in_channels: 16,
-                    filters: 32,
-                    kernel: 3,
-                    stride: 2,
-                },
-                relu(),
-                LayerSpec::Flatten,
-            ]
+        let dense = |input, output| LayerSpec::Dense { input, output };
+        let dropout = || LayerSpec::Dropout {
+            rate: cfg.dropout as f64,
         };
-        // Symbolic flat-dim: 0 when the geometry is degenerate, so the
-        // validator reports the conv error instead of this panicking.
-        let flat_after = |layers: &[LayerSpec], input: &[usize]| -> usize {
-            LayerSpec::Chain(layers.to_vec())
+        let conv2d = |in_channels, filters, kernel| LayerSpec::Conv2D {
+            in_channels,
+            filters,
+            kernel,
+            stride: 2,
+        };
+        let conv3d = |in_channels, filters, kernel| LayerSpec::Conv3D {
+            in_channels,
+            filters,
+            kernel_t: 2,
+            kernel,
+            stride_t: 1,
+            stride: 2,
+        };
+        // A conv stack topped by `Dense(flat -> 64)` + relu, `flat` being
+        // the stack's output width on `input`: 0 when the geometry is
+        // degenerate, so the validator reports the conv error instead of
+        // this panicking.
+        let dense_64_on = |mut layers: Vec<LayerSpec>, input: &[usize]| {
+            let flat = LayerSpec::Chain(layers.clone())
                 .output_shape(input)
-                .map(|s| s[1])
-                .unwrap_or(0)
+                .map_or(0, |s| s[1]);
+            layers.extend([dense(flat, 64), act("relu")]);
+            layers
+        };
+        let frame = vec![1, c, h, w];
+        // Shared 2-D conv feature stack (scaled-down DonkeyCar default).
+        let conv_stack = || {
+            let stack = vec![
+                conv2d(c, 8, 5),
+                act("relu"),
+                conv2d(8, 16, 3),
+                act("relu"),
+                conv2d(16, 32, 3),
+                act("relu"),
+                LayerSpec::Flatten,
+            ];
+            dense_64_on(stack, &frame)
         };
 
-        let mut aux_width = None;
-        let mut merge = Vec::new();
+        let (mut aux_width, mut merge) = (None, Vec::new());
         let (input, layers, feat) = match kind {
             ModelKind::Linear | ModelKind::Categorical | ModelKind::Inferred => {
-                let input = vec![1, c, h, w];
                 let mut layers = conv_stack();
-                let flat = flat_after(&layers, &input);
-                layers.push(LayerSpec::Dense {
-                    input: flat,
-                    output: 64,
-                });
-                layers.push(relu());
-                layers.push(LayerSpec::Dropout {
-                    rate: cfg.dropout as f64,
-                });
-                (input, layers, 64)
+                layers.push(dropout());
+                (frame.clone(), layers, 64)
             }
             ModelKind::Memory => {
-                let input = vec![1, c, h, w];
-                let mut layers = conv_stack();
-                let flat = flat_after(&layers, &input);
-                layers.push(LayerSpec::Dense {
-                    input: flat,
-                    output: 64,
-                });
-                layers.push(relu());
                 aux_width = Some(2 * cfg.history);
-                merge = vec![
-                    LayerSpec::Dense {
-                        input: 64 + 2 * cfg.history,
-                        output: 64,
-                    },
-                    relu(),
-                    LayerSpec::Dropout {
-                        rate: cfg.dropout as f64,
-                    },
-                ];
-                (input, layers, 64)
+                merge = vec![dense(64 + 2 * cfg.history, 64), act("relu"), dropout()];
+                (frame.clone(), conv_stack(), 64)
             }
             ModelKind::Rnn => {
-                let input = vec![1, cfg.seq_len, c, h, w];
-                let mut inner = conv_stack();
-                let flat = flat_after(&inner, &[1, c, h, w]);
-                inner.push(LayerSpec::Dense {
-                    input: flat,
-                    output: 64,
-                });
-                inner.push(relu());
                 let layers = vec![
                     LayerSpec::TimeDistributed {
-                        inner: Box::new(LayerSpec::Chain(inner)),
+                        inner: Box::new(LayerSpec::Chain(conv_stack())),
                     },
                     LayerSpec::Lstm {
                         input: 64,
                         hidden: 32,
                     },
                 ];
-                (input, layers, 32)
+                (vec![1, cfg.seq_len, c, h, w], layers, 32)
             }
             ModelKind::ThreeD => {
                 let input = vec![1, c, cfg.seq_len, h, w];
-                let mut layers = vec![
-                    LayerSpec::Conv3D {
-                        in_channels: c,
-                        filters: 8,
-                        kernel_t: 2,
-                        kernel: 5,
-                        stride_t: 1,
-                        stride: 2,
-                    },
-                    relu(),
-                    LayerSpec::Conv3D {
-                        in_channels: 8,
-                        filters: 16,
-                        kernel_t: 2,
-                        kernel: 3,
-                        stride_t: 1,
-                        stride: 2,
-                    },
-                    relu(),
+                let stack = vec![
+                    conv3d(c, 8, 5),
+                    act("relu"),
+                    conv3d(8, 16, 3),
+                    act("relu"),
                     LayerSpec::Flatten,
                 ];
-                let flat = flat_after(&layers, &input);
-                layers.push(LayerSpec::Dense {
-                    input: flat,
-                    output: 64,
-                });
-                layers.push(relu());
+                let layers = dense_64_on(stack, &input);
                 (input, layers, 64)
             }
         };
 
-        let tanh = || LayerSpec::Activation {
-            kind: "tanh".to_string(),
-        };
+        let steering = vec![dense(feat, 1), act("tanh")];
         let heads = match kind {
             ModelKind::Categorical => vec![
-                (
-                    "steering".to_string(),
-                    vec![LayerSpec::Dense {
-                        input: feat,
-                        output: cfg.steering_bins,
-                    }],
-                ),
-                (
-                    "throttle".to_string(),
-                    vec![LayerSpec::Dense {
-                        input: feat,
-                        output: cfg.throttle_bins,
-                    }],
-                ),
+                ("steering", vec![dense(feat, cfg.steering_bins)]),
+                ("throttle", vec![dense(feat, cfg.throttle_bins)]),
             ],
-            ModelKind::Inferred => vec![(
-                "steering".to_string(),
-                vec![
-                    LayerSpec::Dense {
-                        input: feat,
-                        output: 1,
-                    },
-                    tanh(),
-                ],
-            )],
+            ModelKind::Inferred => vec![("steering", steering)],
             _ => vec![
-                (
-                    "steering".to_string(),
-                    vec![
-                        LayerSpec::Dense {
-                            input: feat,
-                            output: 1,
-                        },
-                        tanh(),
-                    ],
-                ),
-                (
-                    "throttle".to_string(),
-                    vec![
-                        LayerSpec::Dense {
-                            input: feat,
-                            output: 1,
-                        },
-                        LayerSpec::Activation {
-                            kind: "sigmoid".to_string(),
-                        },
-                    ],
-                ),
+                ("steering", steering),
+                ("throttle", vec![dense(feat, 1), act("sigmoid")]),
             ],
         };
 
@@ -502,18 +337,67 @@ impl CarModel {
             layers,
             aux_width,
             merge,
-            heads,
-            declared_params: None,
+            heads: heads
+                .into_iter()
+                .map(|(name, layers)| (name.to_string(), layers))
+                .collect(),
             declared_feature_dim: Some(feat),
         }
     }
 }
 
-/// Unwrap a `Sequential`'s spec into its layer list.
-fn chain_layers(s: &Sequential) -> Vec<LayerSpec> {
-    match s.spec() {
-        LayerSpec::Chain(layers) => layers,
-        other => vec![other],
+/// Instantiate one chain of a [`CarModel::plan`] as live layers, drawing
+/// weights from `rng` in chain order; dropout layers get `dropout_seed`.
+/// This is the only place the zoo constructs a layer.
+fn instantiate(chain: &[LayerSpec], dropout_seed: u64, rng: &mut StdRng) -> Sequential {
+    chain
+        .iter()
+        .map(|spec| live_layer(spec, dropout_seed, rng))
+        .collect()
+}
+
+fn live_layer(spec: &LayerSpec, dropout_seed: u64, rng: &mut StdRng) -> Box<dyn Layer> {
+    match spec {
+        &LayerSpec::Dense { input, output } => Box::new(Dense::new(input, output, rng)),
+        &LayerSpec::Conv2D {
+            in_channels,
+            filters,
+            kernel,
+            stride,
+        } => Box::new(Conv2D::new(in_channels, filters, kernel, stride, rng)),
+        &LayerSpec::Conv3D {
+            in_channels,
+            filters,
+            kernel_t,
+            kernel,
+            stride_t,
+            stride,
+        } => Box::new(Conv3D::new(
+            in_channels,
+            filters,
+            kernel_t,
+            kernel,
+            stride_t,
+            stride,
+            rng,
+        )),
+        &LayerSpec::Lstm { input, hidden } => Box::new(Lstm::new(input, hidden, rng)),
+        LayerSpec::Flatten => Box::new(Flatten::new()),
+        // cast: plan rates widen the f32 `cfg.dropout`; narrowing is exact.
+        &LayerSpec::Dropout { rate } => Box::new(Dropout::new(rate as f32, dropout_seed)),
+        LayerSpec::Activation { kind } => Box::new(ActivationLayer::new(match kind.as_str() {
+            "relu" => Activation::Relu,
+            "tanh" => Activation::Tanh,
+            "sigmoid" => Activation::Sigmoid,
+            // INVARIANT: these three are the only activations `plan` emits.
+            other => panic!("CarModel::plan emits no activation {other:?}"),
+        })),
+        LayerSpec::TimeDistributed { inner } => {
+            Box::new(TimeDistributed::new(live_layer(inner, dropout_seed, rng)))
+        }
+        LayerSpec::Chain(chain) => Box::new(instantiate(chain, dropout_seed, rng)),
+        // INVARIANT: `plan` builds no pooling or batch-norm layer.
+        other => panic!("CarModel::plan emits no {}", other.label()),
     }
 }
 
@@ -619,8 +503,8 @@ impl DonkeyModel for CarModel {
     }
 
     fn flops_per_inference(&self) -> u64 {
-        let img_shape = self.image_input_shape(1);
-        let mut total = self.trunk.flops_per_example(&img_shape);
+        let input = Self::plan(self.kind, &self.cfg).input;
+        let mut total = self.trunk.flops_per_example(&input);
         let feat_shape = vec![1usize, self.feat_dim];
         if let Some(m) = &self.merge {
             total += m.flops_per_example(&[1, self.feat_dim + 2 * self.cfg.history]);
@@ -653,24 +537,7 @@ impl DonkeyModel for CarModel {
     }
 
     fn graph_spec(&self) -> Option<ModelSpec> {
-        // The live layers are the spec under test; the static plan is the
-        // declared expectation. Parameter drift between them means build()
-        // and plan() have diverged.
-        let declared = CarModel::plan(self.kind, &self.cfg).total_params();
-        let mut heads = vec![("steering".to_string(), chain_layers(&self.head_s))];
-        if let Some(t) = &self.head_t {
-            heads.push(("throttle".to_string(), chain_layers(t)));
-        }
-        Some(ModelSpec {
-            name: self.kind.name().to_string(),
-            input: self.image_input_shape(1),
-            layers: chain_layers(&self.trunk),
-            aux_width: self.merge.as_ref().map(|_| 2 * self.cfg.history),
-            merge: self.merge.as_ref().map(chain_layers).unwrap_or_default(),
-            heads,
-            declared_params: Some(declared),
-            declared_feature_dim: Some(self.feat_dim),
-        })
+        Some(Self::plan(self.kind, &self.cfg))
     }
 }
 
@@ -950,22 +817,30 @@ mod tests {
     }
 
     #[test]
-    fn live_graph_spec_matches_plan() {
-        // graph_spec() describes the *built* layers; validating it must
-        // succeed and agree with the plan's feature dim for each kind.
+    fn built_layers_follow_the_plan() {
+        // graph_spec() is the plan itself, and the layers build() made
+        // from it propagate the plan's input to the plan's trunk output.
         let cfg = small_cfg();
         for kind in ModelKind::all() {
             let model = CarModel::build(kind, &cfg);
-            let spec = model.graph_spec().expect("zoo models publish a spec");
-            let report = autolearn_analyze::validate_model(&spec)
-                .unwrap_or_else(|e| panic!("{kind:?}: {e:?}"));
             let planned = CarModel::plan(kind, &cfg);
+            assert_eq!(model.graph_spec().as_ref(), Some(&planned), "{kind:?}");
+            let trunk_out = LayerSpec::Chain(planned.layers.clone()).output_shape(&planned.input);
             assert_eq!(
-                Some(report.feature_dim),
-                planned.declared_feature_dim,
-                "{kind:?}: live feature dim != planned"
+                Ok(model.trunk.output_shape(&planned.input)),
+                trunk_out,
+                "{kind:?}: live trunk shape != planned"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "emits no activation \"linear\"")]
+    fn activation_the_plan_never_emits_is_an_invariant_panic() {
+        let linear = LayerSpec::Activation {
+            kind: "linear".to_string(),
+        };
+        let _ = live_layer(&linear, 0, &mut rng_from_seed(0));
     }
 
     #[test]

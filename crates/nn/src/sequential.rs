@@ -20,10 +20,6 @@ impl Sequential {
         self
     }
 
-    pub fn add(&mut self, layer: impl Layer + 'static) {
-        self.layers.push(Box::new(layer));
-    }
-
     pub fn len(&self) -> usize {
         self.layers.len()
     }
@@ -48,6 +44,14 @@ impl Sequential {
 impl Default for Sequential {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+impl FromIterator<Box<dyn Layer>> for Sequential {
+    fn from_iter<I: IntoIterator<Item = Box<dyn Layer>>>(layers: I) -> Self {
+        Sequential {
+            layers: layers.into_iter().collect(),
+        }
     }
 }
 
@@ -109,10 +113,6 @@ impl Layer for Sequential {
 
     fn name(&self) -> String {
         format!("Sequential[{}]", self.layers.len())
-    }
-
-    fn spec(&self) -> crate::layers::LayerSpec {
-        crate::layers::LayerSpec::Chain(self.layers.iter().map(|l| l.spec()).collect())
     }
 }
 

@@ -16,6 +16,12 @@ echo "== ci: cargo build --release =="
 cargo build --release || status=$?
 
 echo
+echo "== ci: cargo check --workspace --all-targets =="
+# No test phase builds the bench targets; checking every target keeps
+# benches (and examples, tests) compiling.
+cargo check --workspace --all-targets -q || status=$?
+
+echo
 echo "== ci: cargo test -q =="
 cargo test -q || status=$?
 

@@ -1,10 +1,10 @@
 //! Offline shim for `criterion`.
 //!
-//! Keeps the `criterion_group!` / `criterion_main!` / `bench_function`
-//! surface so the workspace's `harness = false` bench targets compile and
-//! run offline. Measurement is a simple calibrated wall-clock loop printing
-//! mean ns/iter — adequate for relative comparisons, with none of real
-//! criterion's statistics.
+//! Keeps the `criterion_group!` / `criterion_main!` / `bench_function` /
+//! `iter` / `iter_with_setup` surface so the workspace's `harness = false`
+//! bench targets compile and run offline. Measurement is a simple
+//! calibrated wall-clock loop printing mean ns/iter — adequate for
+//! relative comparisons, with none of real criterion's statistics.
 
 use std::time::{Duration, Instant};
 
@@ -19,14 +19,41 @@ pub struct Bencher {
 impl Bencher {
     /// Time `f`, repeating it enough times to get a stable-ish estimate.
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut f: F) {
-        // Calibrate: find an iteration count taking ~50ms.
+        self.calibrate(|n| {
+            timed(|| {
+                for _ in 0..n {
+                    black_box(f());
+                }
+            })
+            .1
+        });
+    }
+
+    /// Time `routine` on a fresh input from `setup` per iteration. As in
+    /// upstream criterion, neither `setup` nor dropping the routine's
+    /// output is timed.
+    pub fn iter_with_setup<I, O, S, R>(&mut self, mut setup: S, mut routine: R)
+    where
+        S: FnMut() -> I,
+        R: FnMut(I) -> O,
+    {
+        self.calibrate(|n| {
+            let mut total = Duration::ZERO;
+            for _ in 0..n {
+                let input = setup();
+                let (out, took) = timed(|| black_box(routine(input)));
+                total += took;
+                drop(out);
+            }
+            total
+        });
+    }
+
+    /// Grow the iteration count until `run(n)` reports ~50ms of timed work.
+    fn calibrate(&mut self, mut run: impl FnMut(u64) -> Duration) {
         let mut n: u64 = 1;
         loop {
-            let start = Instant::now();
-            for _ in 0..n {
-                black_box(f());
-            }
-            let took = start.elapsed();
+            let took = run(n);
             if took >= Duration::from_millis(50) || n >= 1 << 20 {
                 self.iters = n;
                 self.elapsed = took;
@@ -42,6 +69,13 @@ impl Bencher {
         }
         self.elapsed.as_nanos() as f64 / self.iters as f64
     }
+}
+
+/// Run `f` once; its output and the wall-clock time it took.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
+    let start = Instant::now();
+    let out = f();
+    (out, start.elapsed())
 }
 
 /// Top-level bench context.
@@ -62,7 +96,11 @@ impl Criterion {
             elapsed: Duration::ZERO,
         };
         f(&mut b);
-        println!("bench {name:<40} {:>14.1} ns/iter  ({} iters)", b.ns_per_iter(), b.iters);
+        println!(
+            "bench {name:<40} {:>14.1} ns/iter  ({} iters)",
+            b.ns_per_iter(),
+            b.iters
+        );
         self
     }
 
@@ -97,5 +135,38 @@ mod tests {
     fn bencher_measures_something() {
         let mut c = Criterion::default();
         c.bench_function("noop_add", |b| b.iter(|| black_box(1u64) + black_box(2)));
+    }
+
+    #[test]
+    fn iter_with_setup_times_only_the_routine() {
+        let mut b = Bencher {
+            iters: 0,
+            elapsed: Duration::ZERO,
+        };
+        let (mut setups, mut runs) = (0u64, 0u64);
+        let mut setup_time = Duration::ZERO;
+        b.iter_with_setup(
+            || {
+                let start = Instant::now();
+                setups += 1;
+                std::thread::sleep(Duration::from_millis(8));
+                setup_time += start.elapsed();
+            },
+            |()| {
+                runs += 1;
+                std::thread::sleep(Duration::from_millis(1));
+            },
+        );
+        assert_eq!(setups, runs, "one fresh input per iteration");
+        // A timed iteration sleeps 1 ms; were the setup timed too, each
+        // would take longer than the mean (8 ms) setup alone.
+        let (ns, mean_setup_ns) = (
+            b.ns_per_iter(),
+            setup_time.as_nanos() as f64 / setups as f64,
+        );
+        assert!(
+            ns >= 1e6 && ns < mean_setup_ns,
+            "{ns} ns/iter, setup {mean_setup_ns} ns"
+        );
     }
 }

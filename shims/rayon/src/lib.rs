@@ -2,10 +2,10 @@
 //!
 //! Exposes the parallel-iterator entry points the workspace uses
 //! (`par_chunks_mut`, `par_iter`, `par_iter_mut`, `into_par_iter`) as plain
-//! sequential `std` iterators. The build/test host is single-core, so a
-//! thread pool would only add overhead; the *interface* is preserved so the
-//! numeric kernels keep their data-parallel structure and a future PR can
-//! swap a real pool back in.
+//! sequential `std` iterators, by design: no thread pool, everything runs
+//! on the calling thread. The *interface* is preserved so the numeric
+//! kernels keep their data-parallel structure and a real pool can be
+//! swapped back in.
 
 pub mod prelude {
     /// `slice.par_chunks_mut(n)` -> sequential `chunks_mut(n)`.
