@@ -348,7 +348,6 @@ impl CarModel {
 
 /// Instantiate one chain of a [`CarModel::plan`] as live layers, drawing
 /// weights from `rng` in chain order; dropout layers get `dropout_seed`.
-/// This is the only place the zoo constructs a layer.
 fn instantiate(chain: &[LayerSpec], dropout_seed: u64, rng: &mut StdRng) -> Sequential {
     chain
         .iter()
@@ -356,6 +355,7 @@ fn instantiate(chain: &[LayerSpec], dropout_seed: u64, rng: &mut StdRng) -> Sequ
         .collect()
 }
 
+/// One plan layer as a live layer: the only place the zoo constructs one.
 fn live_layer(spec: &LayerSpec, dropout_seed: u64, rng: &mut StdRng) -> Box<dyn Layer> {
     match spec {
         &LayerSpec::Dense { input, output } => Box::new(Dense::new(input, output, rng)),
